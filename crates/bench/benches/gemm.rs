@@ -1,15 +1,20 @@
 //! GEMM kernel sweep: blocked (ls-nn `kernels::gemm`) vs. the seed's naive
 //! loops, over square sizes and the encoder shapes that dominate training,
-//! for all three layouts (NN = A·B, TN = Aᵀ·B, NT = A·Bᵀ) — plus a
-//! train-epoch throughput bench across `LS_THREADS` settings.
+//! for all three layouts (NN = A·B, TN = Aᵀ·B, NT = A·Bᵀ) — plus the two
+//! element-wise kernels of the same forward pass (GELU over the LS-base
+//! feed-forward activation, softmax over its four heads' attention scores),
+//! each timed as the old per-element libm formula and as the `ls_nn::vmath`
+//! lane kernel, and a train-epoch throughput bench across `LS_THREADS`
+//! settings.
 //!
 //! Every benchmarked pair computes bit-identical outputs (pinned by the
-//! `to_bits` differential tests in `ls-nn`), so the comparison is purely
-//! about time.
+//! `to_bits` differential tests in `ls-nn`; for the libm rows, on hosts
+//! whose libm is glibc 2.36's, see `vmath`'s exhaustive test), so the
+//! comparison is purely about time.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ls_core::{build_pretrain_pairs, pretrain, PretrainObjectives, TrainConfig};
-use ls_nn::Tensor;
+use ls_nn::{softmax_rows, vmath, Tensor};
 use std::hint::black_box;
 
 /// Deterministic pseudo-random tensor (hash-mixed, no RNG state).
@@ -28,16 +33,17 @@ fn pseudo(rows: usize, cols: usize, seed: u64) -> Tensor {
 
 fn bench_gemm(c: &mut Criterion) {
     // (n, k, m): out is n×m. Squares trace the scaling curve; the rest are
-    // the encoder's hot shapes (seq=64, d_model=48, ff=192, per-head d=12).
+    // the LS-base encoder's hot shapes (seq=64, d_model=48, ff=96,
+    // per-head d=12).
     let shapes: &[(usize, usize, usize)] = &[
         (64, 64, 64),
         (128, 128, 128),
         (256, 256, 256),
         (512, 512, 512),
-        (64, 48, 48),  // token mix: x·W
-        (64, 48, 192), // FF expand
-        (64, 192, 48), // FF contract
-        (64, 12, 64),  // attention scores q·kᵀ (per head, via NT)
+        (64, 48, 48), // token mix: x·W
+        (64, 48, 96), // FF expand
+        (64, 96, 48), // FF contract
+        (64, 12, 64), // attention scores q·kᵀ (per head, via NT)
     ];
     for &(n, k, m) in shapes {
         let mut g = c.benchmark_group(format!("gemm_{n}x{k}x{m}"));
@@ -60,6 +66,100 @@ fn bench_gemm(c: &mut Criterion) {
         });
         g.finish();
     }
+}
+
+/// GELU as the encoder computed it before `vmath`: one libm `tanhf` per
+/// element.
+fn gelu_libm(x: f32) -> f32 {
+    const C: f32 = 0.797_884_6;
+    0.5 * x * (1.0 + (C * (x + 0.044715 * x * x * x)).tanh())
+}
+
+/// GELU's derivative as the encoder computed it before `vmath`.
+fn gelu_grad_libm(x: f32) -> f32 {
+    const C: f32 = 0.797_884_6;
+    let t = (C * (x + 0.044715 * x * x * x)).tanh();
+    let dinner = C * (1.0 + 3.0 * 0.044715 * x * x);
+    0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
+}
+
+/// Row softmax as the encoder computed it before `vmath`: one libm `expf`
+/// per element.
+fn softmax_rows_libm(t: &mut Tensor) {
+    for r in 0..t.rows {
+        let row = t.row_mut(r);
+        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        let mut sum = 0.0f32;
+        for v in row.iter_mut() {
+            *v = (*v - max).exp();
+            sum += *v;
+        }
+        let inv = 1.0 / sum;
+        for v in row.iter_mut() {
+            *v *= inv;
+        }
+    }
+}
+
+fn bench_elementwise(c: &mut Criterion) {
+    // One LS-base feed-forward activation at 64 tokens (64×96), forward and
+    // backward.
+    let pre = pseudo(64, 96, 5);
+    let mut g = c.benchmark_group("gelu_64x96");
+    g.sample_size(30);
+    g.bench_function("libm", |be| {
+        be.iter(|| {
+            let mut a = pre.clone();
+            a.data.iter_mut().for_each(|v| *v = gelu_libm(*v));
+            black_box(a)
+        })
+    });
+    g.bench_function("lanes", |be| {
+        be.iter(|| {
+            let mut a = pre.clone();
+            vmath::gelu(&mut a.data);
+            black_box(a)
+        })
+    });
+    g.bench_function("grad_libm", |be| {
+        be.iter(|| {
+            let mut a = pre.clone();
+            a.data.iter_mut().for_each(|v| *v = gelu_grad_libm(*v));
+            black_box(a)
+        })
+    });
+    g.bench_function("grad_lanes", |be| {
+        be.iter(|| {
+            let mut a = pre.clone();
+            vmath::gelu_grad(&mut a.data);
+            black_box(a)
+        })
+    });
+    g.finish();
+
+    // One LS-base attention layer at 64 tokens: 4 heads of 64×64 scores.
+    let scores: Vec<Tensor> = (0..4).map(|h| pseudo(64, 64, 10 + h)).collect();
+    let mut g = c.benchmark_group("softmax_4x64x64");
+    g.sample_size(30);
+    g.bench_function("libm", |be| {
+        be.iter(|| {
+            for s in &scores {
+                let mut a = s.clone();
+                softmax_rows_libm(&mut a);
+                black_box(a);
+            }
+        })
+    });
+    g.bench_function("lanes", |be| {
+        be.iter(|| {
+            for s in &scores {
+                let mut a = s.clone();
+                softmax_rows(&mut a);
+                black_box(a);
+            }
+        })
+    });
+    g.finish();
 }
 
 fn bench_train_epoch(c: &mut Criterion) {
@@ -105,5 +205,5 @@ fn bench_train_epoch(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_gemm, bench_train_epoch);
+criterion_group!(benches, bench_gemm, bench_elementwise, bench_train_epoch);
 criterion_main!(benches);

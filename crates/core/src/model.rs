@@ -43,6 +43,16 @@ impl LearnShapleyModel {
         }
     }
 
+    /// Parameter shapes of `LearnShapleyModel::new(cfg)` in visitation
+    /// order, listed without allocating the model (see
+    /// [`EncoderConfig::param_shapes`]).
+    pub(crate) fn param_shapes(cfg: &EncoderConfig) -> impl Iterator<Item = (usize, usize)> {
+        // Three similarity heads and the value head, each `Linear(d, 1)`.
+        let head = [(cfg.d_model, 1), (1, 1)];
+        cfg.param_shapes()
+            .chain(std::iter::repeat_n(head, 4).flatten())
+    }
+
     fn encode_cls(&mut self, tokens: &[u32], segments: &[u8]) -> Tensor {
         let hidden = self.encoder.forward(tokens, segments);
         self.last_shape = Some((hidden.rows, hidden.cols));
@@ -148,6 +158,15 @@ mod tests {
             max_len: 16,
             seed: 3,
         })
+    }
+
+    #[test]
+    fn param_shapes_list_the_built_parameters() {
+        let mut m = tiny();
+        let mut built = Vec::new();
+        m.visit(&mut |p| built.push((p.v.rows, p.v.cols)));
+        let listed: Vec<_> = LearnShapleyModel::param_shapes(&m.encoder.config).collect();
+        assert_eq!(listed, built);
     }
 
     #[test]

@@ -68,30 +68,46 @@ impl Snapshot {
         Ok(())
     }
 
-    /// Deserialize from a reader.
-    pub fn read_from(r: &mut dyn Read) -> io::Result<Self> {
+    /// Shapes `(rows, cols)` of the captured tensors, in visitation order.
+    pub fn shapes(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.tensors.iter().map(|(rows, cols, _)| (*rows, *cols))
+    }
+
+    /// Deserialize from the front of `r`, advancing it past the snapshot.
+    /// The tensor count and every `rows × cols` are checked against the
+    /// bytes left before anything is allocated, so an inconsistent header
+    /// is an `InvalidData` error, never an oversized allocation.
+    pub fn read_from(r: &mut &[u8]) -> io::Result<Self> {
+        let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
         let mut magic = [0u8; 4];
         r.read_exact(&mut magic)?;
         if &magic != b"LSCK" {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "bad checkpoint magic",
-            ));
+            return Err(bad("bad checkpoint magic"));
         }
-        let mut u32buf = [0u8; 4];
-        r.read_exact(&mut u32buf)?;
-        let count = u32::from_le_bytes(u32buf) as usize;
+        let read_u32 = |r: &mut &[u8]| -> io::Result<usize> {
+            let mut buf = [0u8; 4];
+            r.read_exact(&mut buf)?;
+            Ok(u32::from_le_bytes(buf) as usize)
+        };
+        let count = read_u32(r)?;
+        // Every tensor takes at least its 8-byte shape.
+        if count > r.len() / 8 {
+            return Err(bad("tensor count exceeds the bytes left"));
+        }
         let mut tensors = Vec::with_capacity(count);
         for _ in 0..count {
-            r.read_exact(&mut u32buf)?;
-            let rows = u32::from_le_bytes(u32buf) as usize;
-            r.read_exact(&mut u32buf)?;
-            let cols = u32::from_le_bytes(u32buf) as usize;
-            let mut data = vec![0f32; rows * cols];
-            for v in &mut data {
-                r.read_exact(&mut u32buf)?;
-                *v = f32::from_le_bytes(u32buf);
-            }
+            let rows = read_u32(r)?;
+            let cols = read_u32(r)?;
+            let len = rows
+                .checked_mul(cols)
+                .filter(|&n| n <= r.len() / 4)
+                .ok_or_else(|| bad("tensor data exceeds the bytes left"))?;
+            let (bytes, rest) = r.split_at(4 * len);
+            let data = bytes
+                .chunks_exact(4)
+                .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+                .collect();
+            *r = rest;
             tensors.push((rows, cols, data));
         }
         Ok(Snapshot { tensors })
@@ -148,6 +164,34 @@ mod tests {
         let mut b = Linear::new(2, 2, &mut rng);
         let snap = Snapshot::capture(&mut a);
         snap.restore(&mut b);
+    }
+
+    #[test]
+    fn oversized_counts_are_invalid_data_before_allocating() {
+        let header = |count: u32, shape: Option<(u32, u32)>| {
+            let mut b = b"LSCK".to_vec();
+            b.extend_from_slice(&count.to_le_bytes());
+            if let Some((rows, cols)) = shape {
+                b.extend_from_slice(&rows.to_le_bytes());
+                b.extend_from_slice(&cols.to_le_bytes());
+            }
+            b.extend_from_slice(&[0u8; 64]);
+            b
+        };
+        for (what, bytes) in [
+            ("count", header(u32::MAX, None)),
+            ("rows*cols", header(1, Some((u32::MAX, u32::MAX)))),
+            ("one past the data", header(1, Some((1, 17)))),
+        ] {
+            let err = Snapshot::read_from(&mut bytes.as_slice()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}");
+        }
+        // Exactly the bytes there are is fine, and the reader stops there.
+        let bytes = header(1, Some((4, 4)));
+        let mut r = bytes.as_slice();
+        let snap = Snapshot::read_from(&mut r).unwrap();
+        assert_eq!(snap.shapes().collect::<Vec<_>>(), vec![(4, 4)]);
+        assert!(r.is_empty());
     }
 
     #[test]

@@ -7,23 +7,9 @@ use crate::linear::Linear;
 use crate::norm::LayerNorm;
 use crate::param::{Param, Visit};
 use crate::tensor::Tensor;
+use crate::vmath;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// GELU activation (tanh approximation) applied element-wise.
-fn gelu(x: f32) -> f32 {
-    const C: f32 = 0.797_884_6; // sqrt(2/π)
-    0.5 * x * (1.0 + (C * (x + 0.044715 * x * x * x)).tanh())
-}
-
-/// Derivative of the tanh-approximated GELU.
-fn gelu_grad(x: f32) -> f32 {
-    const C: f32 = 0.797_884_6;
-    let inner = C * (x + 0.044715 * x * x * x);
-    let t = inner.tanh();
-    let dinner = C * (1.0 + 3.0 * 0.044715 * x * x);
-    0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
-}
 
 /// Position-wise feed-forward network: `Linear → GELU → Linear`.
 #[derive(Debug, Clone)]
@@ -47,9 +33,7 @@ impl FeedForward {
     pub fn forward(&mut self, x: &Tensor) -> Tensor {
         let pre = self.lin1.forward(x);
         let mut act = pre.clone();
-        for v in &mut act.data {
-            *v = gelu(*v);
-        }
+        vmath::gelu(&mut act.data);
         self.cache_pre = Some(pre);
         self.lin2.forward(&act)
     }
@@ -57,21 +41,18 @@ impl FeedForward {
     /// Inference forward pass: same arithmetic as [`FeedForward::forward`]
     /// but read-only. Bit-identical to the training forward.
     pub fn forward_infer(&self, x: &Tensor) -> Tensor {
-        let pre = self.lin1.forward_infer(x);
-        let mut act = pre;
-        for v in &mut act.data {
-            *v = gelu(*v);
-        }
+        let mut act = self.lin1.forward_infer(x);
+        vmath::gelu(&mut act.data);
         self.lin2.forward_infer(&act)
     }
 
     /// Backward pass.
     pub fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let dact = self.lin2.backward(dy);
-        let pre = self.cache_pre.as_ref().expect("forward before backward");
-        let mut dpre = dact;
-        for (d, &p) in dpre.data.iter_mut().zip(&pre.data) {
-            *d *= gelu_grad(p);
+        let mut dpre = self.lin2.backward(dy);
+        let mut grad = self.cache_pre.take().expect("forward before backward");
+        vmath::gelu_grad(&mut grad.data);
+        for (d, g) in dpre.data.iter_mut().zip(&grad.data) {
+            *d *= g;
         }
         self.lin1.backward(&dpre)
     }
@@ -198,6 +179,27 @@ impl EncoderConfig {
             max_len,
             seed: 17,
         }
+    }
+
+    /// Parameter shapes `(rows, cols)` of `TransformerEncoder::new(self)`
+    /// in visitation order, listed without allocating any of them — what a
+    /// loader checks a stored snapshot against before building the model.
+    pub fn param_shapes(&self) -> impl Iterator<Item = (usize, usize)> {
+        let (d, ff) = (self.d_model, self.ff_dim);
+        let linear = move |i, o| [(i, o), (1, o)]; // weight, bias
+        let norm = [(1, d); 2]; // gamma, beta
+        let block = move |_| {
+            [linear(d, d); 4] // attention: W_Q, W_K, W_V, W_O
+                .into_iter()
+                .flatten()
+                .chain(norm)
+                .chain(linear(d, ff))
+                .chain(linear(ff, d))
+                .chain(norm)
+        };
+        [(self.vocab, d), (self.max_len, d), (2, d)] // token, position, segment
+            .into_iter()
+            .chain((0..self.layers).flat_map(block))
     }
 
     /// The small randomly-initialized transformer of the paper's ablation
@@ -404,19 +406,6 @@ mod tests {
     }
 
     #[test]
-    fn gelu_properties() {
-        assert_eq!(gelu(0.0), 0.0);
-        assert!(gelu(3.0) > 2.9); // ≈ identity for large positive
-        assert!(gelu(-5.0).abs() < 1e-3); // ≈ 0 for large negative
-                                          // Derivative by finite differences.
-        for &x in &[-2.0f32, -0.5, 0.0, 0.7, 2.5] {
-            let eps = 1e-3;
-            let numeric = (gelu(x + eps) - gelu(x - eps)) / (2.0 * eps);
-            assert!((numeric - gelu_grad(x)).abs() < 1e-2, "x={x}");
-        }
-    }
-
-    #[test]
     fn encoder_forward_shape() {
         let mut enc = TransformerEncoder::new(tiny_config());
         let h = enc.forward(&[1, 2, 3, 4], &[0, 0, 1, 1]);
@@ -519,6 +508,16 @@ mod tests {
                 (numeric - dx.data[i]).abs() < 0.05 * (1.0 + numeric.abs()),
                 "dx[{i}]"
             );
+        }
+    }
+
+    #[test]
+    fn param_shapes_list_the_built_parameters() {
+        for cfg in [tiny_config(), EncoderConfig::base(30, 16)] {
+            let mut enc = TransformerEncoder::new(cfg);
+            let mut built = Vec::new();
+            enc.visit(&mut |p| built.push((p.v.rows, p.v.cols)));
+            assert_eq!(cfg.param_shapes().collect::<Vec<_>>(), built);
         }
     }
 

@@ -39,6 +39,7 @@ pub mod optim;
 pub mod param;
 pub mod schedule;
 pub mod tensor;
+pub mod vmath;
 
 pub use attention::MultiHeadAttention;
 pub use checkpoint::Snapshot;

@@ -225,15 +225,20 @@ impl Tensor {
     }
 }
 
-/// Row-wise softmax (in place), numerically stabilized.
+/// Row-wise softmax (in place), numerically stabilized. The exponentials
+/// come from the lane-wise `vmath::exp` kernel; the row sum is one
+/// sequential chain in index order.
 pub fn softmax_rows(t: &mut Tensor) {
     for r in 0..t.rows {
         let row = t.row_mut(r);
         let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let mut sum = 0.0f32;
         for v in row.iter_mut() {
-            *v = (*v - max).exp();
-            sum += *v;
+            *v -= max;
+        }
+        crate::vmath::exp(row);
+        let mut sum = 0.0f32;
+        for &v in row.iter() {
+            sum += v;
         }
         let inv = 1.0 / sum;
         for v in row.iter_mut() {
@@ -405,12 +410,16 @@ mod tests {
 
     #[test]
     fn blocked_kernels_bit_identical_to_naive() {
-        // Shapes covering micro-kernel edges (dims below/at/above MR=4 and
-        // NR=8) plus the actual encoder shapes (seq×48·48, seq×48·96, …).
+        // Shapes covering micro-kernel edges (n below, at, one past and at
+        // twice MR = 8; m below, at, one past and at twice NR = 16) plus
+        // the actual encoder shapes (seq×48·48, seq×48·96, …).
         for &(n, k, m) in &[
             (1usize, 1usize, 1usize),
             (3, 5, 7),
             (4, 8, 8),
+            (8, 48, 16),
+            (9, 12, 17),
+            (16, 96, 32),
             (6, 48, 96),
             (17, 48, 48),
             (31, 96, 48),

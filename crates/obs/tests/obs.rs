@@ -2,16 +2,20 @@
 //! parenting, counter atomicity under contention, and JSONL round-trips.
 //!
 //! The registry, level, and JSONL sink are process-global, so every test
-//! uses its own metric names and the sink-owning tests serialize on a mutex.
+//! uses its own metric names and every test that sets the level or owns the
+//! sink serializes on one mutex.
 
 use ls_obs::{HistStats, Json, Level};
 use std::io::Write;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
-/// Guards the global JSONL sink (one writer slot per process).
-fn sink_lock() -> &'static Mutex<()> {
+/// Guards the global level and JSONL sink (one writer slot per process). A
+/// test that fails while holding it does not poison the others.
+fn global_lock() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
     LOCK.get_or_init(|| Mutex::new(()))
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
 }
 
 /// An in-memory `Write` target whose bytes stay reachable after the sink
@@ -38,6 +42,7 @@ impl Write for SharedBuf {
 
 #[test]
 fn histogram_percentiles_on_known_distribution() {
+    let _guard = global_lock();
     ls_obs::set_level(Level::Summary);
     let h = ls_obs::histogram("test.hist.uniform");
     h.reset();
@@ -63,6 +68,7 @@ fn histogram_percentiles_on_known_distribution() {
 
 #[test]
 fn histogram_percentiles_heavy_tail() {
+    let _guard = global_lock();
     ls_obs::set_level(Level::Summary);
     let h = ls_obs::histogram("test.hist.tail");
     h.reset();
@@ -87,6 +93,7 @@ fn histogram_percentiles_heavy_tail() {
 
 #[test]
 fn counter_atomic_under_contention() {
+    let _guard = global_lock();
     ls_obs::set_level(Level::Summary);
     let c = ls_obs::counter("test.counter.contended");
     let threads = 8;
@@ -110,6 +117,7 @@ fn counter_atomic_under_contention() {
 
 #[test]
 fn meter_counts_and_rates() {
+    let _guard = global_lock();
     ls_obs::set_level(Level::Summary);
     let m = ls_obs::meter("test.meter.rows");
     m.mark(500);
@@ -120,7 +128,7 @@ fn meter_counts_and_rates() {
 
 #[test]
 fn nested_spans_parent_correctly_and_round_trip() {
-    let _guard = sink_lock().lock().unwrap();
+    let _guard = global_lock();
     ls_obs::set_level(Level::Summary);
     let buf = SharedBuf::default();
     ls_obs::init_jsonl_writer(Box::new(buf.clone()));
@@ -182,7 +190,7 @@ fn nested_spans_parent_correctly_and_round_trip() {
 
 #[test]
 fn spans_span_threads_independently() {
-    let _guard = sink_lock().lock().unwrap();
+    let _guard = global_lock();
     ls_obs::set_level(Level::Summary);
     // Parenting is per-thread: a span opened on another thread must not
     // adopt this thread's open span as parent.
@@ -207,6 +215,7 @@ fn spans_span_threads_independently() {
 
 #[test]
 fn exemplar_histograms_carry_trace_ids() {
+    let _guard = global_lock();
     ls_obs::set_level(Level::Summary);
     let h = ls_obs::histogram("test.hist.exemplar");
     h.reset();
@@ -291,7 +300,7 @@ fn flight_recorder_dumps_on_panic() {
 
 #[test]
 fn disabled_spans_are_inert() {
-    let _guard = sink_lock().lock().unwrap();
+    let _guard = global_lock();
     // With level Off and no sink, spans carry no id and record nothing.
     drop(ls_obs::take_jsonl_writer());
     ls_obs::set_level(Level::Off);
