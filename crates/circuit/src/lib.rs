@@ -4,7 +4,7 @@
 //! pieces that compose into a per-request answer path:
 //!
 //! * **[`CircuitStore`]** — compiled decision-DNNFs keyed by the canonical
-//!   [`shape`](crate::shape) of their lineage: recurring shapes across
+//!   [`shape`] of their lineage: recurring shapes across
 //!   tuples, dataset builds, and serving compile **once**, persist in a
 //!   compact versioned binary format (crash-atomic, CRC-sealed, bit-exact
 //!   f64/BigNat round-trip), and load thereafter, with an in-process LRU

@@ -205,7 +205,7 @@ impl Histogram {
             .collect()
     }
 
-    /// Percentile estimate (`q` in [0,1]) from the bucket counts. Exact min
+    /// Percentile estimate (`q` in `[0, 1]`) from the bucket counts. Exact min
     /// and max are substituted at the extremes.
     pub fn percentile(&self, q: f64) -> f64 {
         let count = self.count.load(Ordering::Relaxed);

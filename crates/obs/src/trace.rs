@@ -22,9 +22,9 @@
 //!
 //! Trace ids are 64-bit, process-salted SplitMix64 outputs — unique within
 //! a process by construction (a counter feeds the mix) and collision-free
-//! across client/server processes for any realistic request volume. They
-//! render as 16-digit hex (`TraceContext::trace_hex`) on the wire and in
-//! telemetry so the full 64 bits survive JSON's f64 numbers.
+//! across client/server processes for any realistic request volume. The
+//! wire carries them as raw `u64`s; telemetry renders them as 16-digit hex
+//! so the full 64 bits survive JSON's f64 numbers.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -59,8 +59,8 @@ fn process_salt() -> u64 {
 }
 
 /// A request-scoped trace identity, passed explicitly across threads and
-/// serialized over the wire (hex) so client- and server-side spans stitch
-/// into one trace.
+/// carried over the wire so client- and server-side spans stitch into one
+/// trace.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct TraceContext {
     /// The request's trace id (nonzero; 0 means "no trace").
@@ -124,33 +124,6 @@ impl TraceContext {
             span_id,
             parent: self.span_id,
         }
-    }
-
-    /// The trace id as fixed-width lowercase hex (wire format).
-    pub fn trace_hex(&self) -> String {
-        format!("{:016x}", self.trace_id)
-    }
-
-    /// The span id as fixed-width lowercase hex (wire format).
-    pub fn span_hex(&self) -> String {
-        format!("{:016x}", self.span_id)
-    }
-
-    /// Parse a context from its hex wire fields (`span` optional).
-    pub fn from_hex(trace: &str, span: Option<&str>) -> Option<TraceContext> {
-        let trace_id = u64::from_str_radix(trace, 16).ok()?;
-        if trace_id == 0 {
-            return None;
-        }
-        let span_id = match span {
-            Some(s) => u64::from_str_radix(s, 16).ok()?,
-            None => 0,
-        };
-        Some(TraceContext {
-            trace_id,
-            span_id,
-            parent: 0,
-        })
     }
 }
 
@@ -226,22 +199,5 @@ mod tests {
         let got = TraceContext::current().unwrap();
         assert_eq!(got.trace_id, 5);
         assert_eq!(got.span_id, 17);
-    }
-
-    #[test]
-    fn hex_round_trip() {
-        let ctx = TraceContext {
-            trace_id: u64::MAX - 3,
-            span_id: 1 << 60,
-            parent: 0,
-        };
-        let back = TraceContext::from_hex(&ctx.trace_hex(), Some(&ctx.span_hex())).unwrap();
-        assert_eq!(back.trace_id, ctx.trace_id);
-        assert_eq!(back.span_id, ctx.span_id);
-        assert!(TraceContext::from_hex("zz", None).is_none());
-        assert!(
-            TraceContext::from_hex("0", None).is_none(),
-            "zero id is not a trace"
-        );
     }
 }

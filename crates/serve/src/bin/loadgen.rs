@@ -42,8 +42,8 @@
 //!
 //! `--connections 1000,5000,10000` drives the event-loop front-end with N
 //! concurrent connections from a single nonblocking client loop (one fd per
-//! connection, multiplexed over the same `Poller` the server uses), per
-//! protocol from `--protocol json|binary|both`. The sweep *verifies* every
+//! connection, multiplexed over the same `Poller` the server uses, each
+//! opened with the protocol hello). The sweep *verifies* every
 //! response: a warmup pass captures the server's answer for each distinct
 //! request, and every sweep response must match it bit-for-bit (f64 score
 //! bits and ranking) under the id it was issued with — one mixed, dropped,
@@ -68,8 +68,8 @@ use ls_fault::{FaultKind, FaultPlan, FaultRule, FaultSpec};
 use ls_nn::EncoderConfig;
 use ls_relational::{ColType, Database, FactId, OutputTuple, TableSchema, Value};
 use ls_serve::{
-    proto, Event, Interest, ModelBundle, OnlineOptions, Poller, Protocol, RankRequest,
-    RankResponse, ServeConfig, ServeError, Server, StageBreakdown, TcpRankClient, TcpServer,
+    proto, Event, Interest, ModelBundle, OnlineOptions, Poller, RankRequest, RankResponse,
+    RetryPolicy, ServeConfig, ServeError, Server, StageBreakdown, TcpRankClient, TcpServer,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -101,7 +101,6 @@ struct Args {
     assert_overhead: Option<f64>,
     listen: Option<String>,
     connections: Vec<usize>,
-    protocols: Vec<Protocol>,
     open_loop: Option<f64>,
     sweep_requests: Option<usize>,
     connect: Option<String>,
@@ -129,7 +128,6 @@ impl Default for Args {
             assert_overhead: None,
             listen: None,
             connections: Vec::new(),
-            protocols: vec![Protocol::Json, Protocol::Binary],
             open_loop: None,
             sweep_requests: None,
             connect: None,
@@ -178,14 +176,6 @@ fn parse_args() -> Args {
                     .map(|c| c.parse().expect("connection count"))
                     .collect();
             }
-            "--protocol" => {
-                args.protocols = match take().as_str() {
-                    "json" => vec![Protocol::Json],
-                    "binary" => vec![Protocol::Binary],
-                    "both" => vec![Protocol::Json, Protocol::Binary],
-                    other => panic!("unknown protocol {other} (json|binary|both)"),
-                };
-            }
             "--open-loop" => args.open_loop = Some(take().parse().expect("open-loop rate")),
             "--sweep-requests" => {
                 args.sweep_requests = Some(take().parse().expect("sweep request count"));
@@ -198,8 +188,8 @@ fn parse_args() -> Args {
                      [--queries N] [--max-len N] [--seed N] [--serial] [--tcp] \
                      [--fault] [--fault-seed N] [--feedback] [--trace-sample N] \
                      [--assert-overhead PCT] [--listen HOST:PORT] \
-                     [--connections N,N,...] [--protocol json|binary|both] \
-                     [--open-loop RPS] [--sweep-requests N] [--connect HOST:PORT]"
+                     [--connections N,N,...] [--open-loop RPS] \
+                     [--sweep-requests N] [--connect HOST:PORT]"
                 );
                 std::process::exit(0);
             }
@@ -1024,7 +1014,7 @@ impl SweepConn {
     }
 }
 
-/// Tallies for one (protocol, connections) sweep configuration.
+/// Tallies for one connection-count sweep configuration.
 #[derive(Default)]
 struct SweepStats {
     served: usize,
@@ -1043,12 +1033,7 @@ fn run_sweep(args: &Args, requests: &[RankRequest], addr: &str, conns: &[usize])
     let limit = raise_nofile_limit();
     let max_conns = conns.iter().copied().max().unwrap_or(0);
     println!(
-        "connection sweep: {addr}  connections {conns:?}  protocols {:?}  \
-         arrivals {}  fd soft limit {limit}",
-        args.protocols
-            .iter()
-            .map(Protocol::to_string)
-            .collect::<Vec<_>>(),
+        "connection sweep: {addr}  connections {conns:?}  arrivals {}  fd soft limit {limit}",
         match args.open_loop {
             Some(r) => format!("open-loop {r} req/s"),
             None => "closed-loop (1 in flight per connection)".to_string(),
@@ -1062,39 +1047,29 @@ fn run_sweep(args: &Args, requests: &[RankRequest], addr: &str, conns: &[usize])
         return false;
     }
 
+    // Warmup on a plain blocking client: capture the reference answer for
+    // every distinct request (and fill the server's cache so the sweep
+    // measures the serving path, not first-touch scoring).
+    let expected = match capture_expected(addr, requests) {
+        Ok(e) => e,
+        Err(msg) => {
+            eprintln!("sweep warmup failed: {msg}");
+            return false;
+        }
+    };
     let mut all_ok = true;
-    for &protocol in &args.protocols {
-        // Warmup on a plain blocking client: capture the reference answer
-        // for every distinct request (and fill the server's cache so the
-        // sweep measures the serving path, not first-touch scoring).
-        let expected = match capture_expected(addr, protocol, requests) {
-            Ok(e) => e,
-            Err(msg) => {
-                eprintln!("sweep warmup failed ({protocol}): {msg}");
-                return false;
+    for &n in conns {
+        let total = args
+            .sweep_requests
+            .unwrap_or_else(|| args.requests.max(n * 4));
+        match sweep_config(addr, n, total, args.open_loop, requests, &expected) {
+            Ok((stats, wall)) => {
+                let ok = report_sweep(n, total, stats, wall);
+                all_ok &= ok;
             }
-        };
-        for &n in conns {
-            let total = args
-                .sweep_requests
-                .unwrap_or_else(|| args.requests.max(n * 4));
-            match sweep_config(
-                addr,
-                protocol,
-                n,
-                total,
-                args.open_loop,
-                requests,
-                &expected,
-            ) {
-                Ok((stats, wall)) => {
-                    let ok = report_sweep(protocol, n, total, stats, wall);
-                    all_ok &= ok;
-                }
-                Err(msg) => {
-                    eprintln!("sweep {protocol} conns={n}: {msg}");
-                    all_ok = false;
-                }
+            Err(msg) => {
+                eprintln!("sweep conns={n}: {msg}");
+                all_ok = false;
             }
         }
     }
@@ -1103,19 +1078,9 @@ fn run_sweep(args: &Args, requests: &[RankRequest], addr: &str, conns: &[usize])
 
 /// Blocking warmup pass: one answer per distinct request, with shed
 /// responses retried (the reference must be a real answer).
-fn capture_expected(
-    addr: &str,
-    protocol: Protocol,
-    requests: &[RankRequest],
-) -> Result<Vec<Expected>, String> {
-    let mut client = TcpRankClient::connect_opts(addr, ls_serve::RetryPolicy::default(), protocol)
+fn capture_expected(addr: &str, requests: &[RankRequest]) -> Result<Vec<Expected>, String> {
+    let mut client = TcpRankClient::connect_with(addr, RetryPolicy::default())
         .map_err(|e| format!("connect: {e}"))?;
-    if client.protocol() != protocol {
-        return Err(format!(
-            "server negotiated {} where the sweep needs {protocol}",
-            client.protocol()
-        ));
-    }
     requests
         .iter()
         .map(|req| {
@@ -1138,12 +1103,10 @@ fn capture_expected(
         .collect()
 }
 
-/// Drive one (protocol, connections) configuration and verify every byte
-/// that comes back.
-#[allow(clippy::too_many_arguments)]
+/// Drive one connection-count configuration and verify every byte that
+/// comes back.
 fn sweep_config(
     addr: &str,
-    protocol: Protocol,
     n_conns: usize,
     total: usize,
     open_loop: Option<f64>,
@@ -1153,26 +1116,13 @@ fn sweep_config(
     let mut poller = Poller::new().map_err(|e| format!("poller: {e}"))?;
     let mut conns: Vec<SweepConn> = Vec::with_capacity(n_conns);
     for i in 0..n_conns {
-        let stream = TcpStream::connect(addr).map_err(|e| format!("connect #{i}: {e}"))?;
-        if std::env::var("LS_NODELAY").map_or(true, |v| v != "0") {
-            stream
-                .set_nodelay(true)
-                .map_err(|e| format!("nodelay: {e}"))?;
-        }
-        if protocol == Protocol::Binary {
-            // Negotiate while still blocking; the loop below only ever sees
-            // length-prefixed frames.
-            let mut s = &stream;
-            s.write_all(&proto::encode_hello(proto::BINARY_VERSION))
-                .map_err(|e| format!("hello #{i}: {e}"))?;
-            let mut ack = [0u8; proto::HELLO_LEN];
-            s.read_exact(&mut ack)
-                .map_err(|e| format!("hello ack #{i}: {e}"))?;
-            let v = proto::decode_hello(&ack).map_err(|e| format!("hello ack #{i}: {e}"))?;
-            if v != proto::BINARY_VERSION {
-                return Err(format!("hello ack #{i}: unsupported version {v}"));
-            }
-        }
+        let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect #{i}: {e}"))?;
+        stream
+            .set_nodelay(true)
+            .map_err(|e| format!("nodelay: {e}"))?;
+        // Negotiate while still blocking; the loop below only ever sees
+        // length-prefixed frames.
+        proto::negotiate(&mut stream).map_err(|e| format!("hello #{i}: {e}"))?;
         stream
             .set_nonblocking(true)
             .map_err(|e| format!("nonblocking: {e}"))?;
@@ -1209,7 +1159,7 @@ fn sweep_config(
             if issued >= total {
                 break;
             }
-            enqueue(conn, protocol, requests, issued, next_id);
+            enqueue(conn, requests, issued, next_id);
             issued += 1;
             next_id += 1;
         }
@@ -1240,7 +1190,7 @@ fn sweep_config(
                     }
                     continue;
                 }
-                enqueue(&mut conns[i], protocol, requests, issued, next_id);
+                enqueue(&mut conns[i], requests, issued, next_id);
                 issued += 1;
                 next_id += 1;
             }
@@ -1276,16 +1226,14 @@ fn sweep_config(
                 continue;
             }
             if ev.readable {
-                if let Err(msg) =
-                    read_conn(&mut conns[i], protocol, expected, &mut stats, &mut finished)
-                {
+                if let Err(msg) = read_conn(&mut conns[i], expected, &mut stats, &mut finished) {
                     kill_conn(&mut conns[i], &mut poller, &mut stats, &msg);
                     continue;
                 }
                 // Closed loop: a completed response frees the slot.
                 if open_loop.is_none() {
                     while conns[i].inflight.is_empty() && issued < total {
-                        enqueue(&mut conns[i], protocol, requests, issued, next_id);
+                        enqueue(&mut conns[i], requests, issued, next_id);
                         issued += 1;
                         next_id += 1;
                     }
@@ -1306,7 +1254,7 @@ fn sweep_config(
                     continue;
                 }
                 if conn.inflight.is_empty() && conn.outbuf.len() == conn.out_off {
-                    enqueue(conn, protocol, requests, issued, next_id);
+                    enqueue(conn, requests, issued, next_id);
                     issued += 1;
                     next_id += 1;
                 }
@@ -1320,29 +1268,10 @@ fn sweep_config(
 }
 
 /// Encode request `issued` under `id` into the connection's write buffer.
-fn enqueue(
-    conn: &mut SweepConn,
-    protocol: Protocol,
-    requests: &[RankRequest],
-    issued: usize,
-    id: u64,
-) {
+fn enqueue(conn: &mut SweepConn, requests: &[RankRequest], issued: usize, id: u64) {
     let req_idx = issued % requests.len();
-    match protocol {
-        Protocol::Json => {
-            let payload = proto::encode_request(id, &requests[req_idx], None);
-            conn.outbuf
-                .extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            conn.outbuf.extend_from_slice(&payload);
-        }
-        Protocol::Binary => {
-            conn.outbuf.extend_from_slice(&proto::encode_binary_request(
-                id,
-                &requests[req_idx],
-                None,
-            ));
-        }
-    }
+    conn.outbuf
+        .extend_from_slice(&proto::encode_binary_request(id, &requests[req_idx], None));
     conn.inflight.insert(id, (req_idx, Instant::now()));
 }
 
@@ -1370,7 +1299,6 @@ fn flush_conn(conn: &mut SweepConn, stats: &mut SweepStats) -> Result<(), String
 /// Drain readable bytes and verify every complete response frame.
 fn read_conn(
     conn: &mut SweepConn,
-    protocol: Protocol,
     expected: &[Expected],
     stats: &mut SweepStats,
     finished: &mut usize,
@@ -1410,14 +1338,8 @@ fn read_conn(
             break;
         }
         let payload = &avail[4..4 + len];
-        let (id, result) = match protocol {
-            Protocol::Json => {
-                proto::decode_response(payload).map_err(|m| format!("decode: {m}"))?
-            }
-            Protocol::Binary => {
-                proto::decode_binary_response(payload).map_err(|e| format!("decode: {e}"))?
-            }
-        };
+        let (id, result) =
+            proto::decode_binary_response(payload).map_err(|e| format!("decode: {e}"))?;
         match conn.inflight.remove(&id) {
             None => stats.unknown_ids += 1, // a response we never asked for
             Some((req_idx, t0)) => {
@@ -1472,13 +1394,7 @@ fn kill_conn(conn: &mut SweepConn, poller: &mut Poller, stats: &mut SweepStats, 
 }
 
 /// Print one sweep result row; returns whether the configuration was clean.
-fn report_sweep(
-    protocol: Protocol,
-    conns: usize,
-    total: usize,
-    mut stats: SweepStats,
-    wall: Duration,
-) -> bool {
+fn report_sweep(conns: usize, total: usize, mut stats: SweepStats, wall: Duration) -> bool {
     stats.latencies.sort();
     let pct = |p: f64| -> Duration {
         if stats.latencies.is_empty() {
@@ -1490,7 +1406,7 @@ fn report_sweep(
     let secs = wall.as_secs_f64().max(1e-9);
     let answered = (stats.served + stats.shed).max(1) as u64;
     println!(
-        "sweep {protocol:<6} conns={conns:<6} served {:>7}  shed {:>5}  {:>9.1} req/s  \
+        "sweep conns={conns:<6} served {:>7}  shed {:>5}  {:>9.1} req/s  \
          p50 {:>9.3?}  p99 {:>9.3?}  p99.9 {:>9.3?}  bytes/req out {:>5} in {:>5}",
         stats.served,
         stats.shed,
@@ -1504,7 +1420,7 @@ fn report_sweep(
     let clean = stats.mismatched == 0 && stats.unknown_ids == 0 && stats.conn_failures == 0;
     if !clean {
         eprintln!(
-            "sweep {protocol} conns={conns}: VERIFICATION FAILED — \
+            "sweep conns={conns}: VERIFICATION FAILED — \
              {} mismatched, {} unknown ids, {} connection failures (of {total} requests)",
             stats.mismatched, stats.unknown_ids, stats.conn_failures
         );

@@ -12,17 +12,14 @@
 //! ```
 //!
 //! Output is the server's JSON, pretty-printed; `--raw` prints it compact
-//! (one line, suitable for piping into other tooling). `--binary` carries
-//! the admin frames over the negotiated binary protocol instead of JSON —
-//! same answers, and a live check that a binary connection serves admin
-//! introspection too (falls back to JSON against a legacy server).
+//! (one line, suitable for piping into other tooling).
 
 use ls_obs::Json;
-use ls_serve::{AdminCommand, Protocol, RetryPolicy, TcpRankClient};
+use ls_serve::{AdminCommand, TcpRankClient};
 use std::fmt::Write as _;
 
 fn usage() -> ! {
-    eprintln!("usage: obsctl <host:port> <metrics|state|traces|recorder> [--raw] [--binary]");
+    eprintln!("usage: obsctl <host:port> <metrics|state|traces|recorder> [--raw]");
     std::process::exit(2);
 }
 
@@ -129,7 +126,6 @@ fn emit_pretty(out: &mut String, v: &Json, indent: usize) {
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let raw = argv.iter().any(|a| a == "--raw");
-    let binary = argv.iter().any(|a| a == "--binary");
     let pos: Vec<&String> = argv.iter().filter(|a| !a.starts_with("--")).collect();
     let (addr, kw) = match pos.as_slice() {
         [addr, kw] => (addr.as_str(), kw.as_str()),
@@ -139,12 +135,7 @@ fn main() {
         eprintln!("unknown command {kw:?}");
         usage();
     };
-    let protocol = if binary {
-        Protocol::Binary
-    } else {
-        Protocol::Json
-    };
-    let mut client = match TcpRankClient::connect_opts(addr, RetryPolicy::none(), protocol) {
+    let mut client = match TcpRankClient::connect(addr) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("obsctl: connect {addr}: {e}");

@@ -14,8 +14,9 @@
 //! Two front doors:
 //!
 //! * **in-process** — [`Server::start`] + [`ServeHandle::rank`];
-//! * **TCP** — [`TcpServer`] speaking the length-prefixed JSON frames of
-//!   [`proto`], with [`TcpRankClient`] as the matching client.
+//! * **TCP** — [`TcpServer`] speaking the `LSBP` binary protocol of
+//!   [`proto`] (a mandatory version hello, then length-prefixed frames),
+//!   with [`TcpRankClient`] as the matching client.
 //!
 //! The contract that makes the subsystem trustworthy is *determinism*: for a
 //! fixed model snapshot, a response is bit-identical to what the serial
@@ -32,7 +33,7 @@
 //! ## Tracing & introspection
 //!
 //! Every request can carry an [`ls_obs::TraceContext`] end to end: the TCP
-//! client mints (or propagates) one, the wire carries it as hex ids, and
+//! client mints (or propagates) one, the wire carries its raw 64-bit ids, and
 //! the engine threads it through queue → batcher → worker pool so spans and
 //! stage histograms (`serve.stage.*`) attribute to the request. Successful
 //! traced responses return a [`StageBreakdown`] whose disjoint stages sum
@@ -69,7 +70,7 @@ pub mod tcp;
 pub use cache::{LruCache, RankKey};
 pub use online::{OnlineOptions, OnlineState};
 pub use poller::{Backend, Event, Interest, Poller, Waker};
-pub use proto::{frame_error, AdminCommand, Frame, FrameError, Protocol, MAX_FRAME};
+pub use proto::{frame_error, AdminCommand, Frame, FrameError, MAX_FRAME};
 pub use server::{
     ModelBundle, RankRequest, RankResponse, ServeConfig, ServeError, ServeHandle, Server,
     StageBreakdown,

@@ -1,51 +1,24 @@
-//! Framed wire protocols for the TCP front-end: JSON and binary.
+//! The `LSBP` binary wire protocol of the TCP front-end.
 //!
-//! Every message is a **frame**: a little-endian `u32` byte length followed
-//! by that many payload bytes. Frames above [`MAX_FRAME`] bytes are
-//! rejected (a corrupt length prefix must not make the server allocate 4 GiB).
+//! A connection opens with a 6-byte **hello**: the magic `LSBP` followed by
+//! the client's highest supported version (`u16` LE). The server answers
+//! with the magic and the version it chose. The hello is mandatory — a
+//! connection whose first four bytes are not the magic is torn without a
+//! reply — and [`negotiate`] is the client half of the round trip.
 //!
-//! Two payload encodings share that framing:
+//! After the hello every message is a **frame**: a little-endian `u32` byte
+//! length followed by that many payload bytes. Frames above [`MAX_FRAME`]
+//! bytes are rejected (a corrupt length prefix must not make the server
+//! allocate 4 GiB). Payload byte 0 names the frame kind; the rest is
+//! little-endian fixed-width fields and `u32`-length-prefixed UTF-8
+//! strings, the same idiom as the `ls-circuit` `LSCS` store. See
+//! [`decode_binary_frame`] and DESIGN.md §4j for the frame layouts.
 //!
-//! * **JSON** (the original protocol, still the default) — UTF-8 JSON
-//!   objects, documented below. Legacy clients speak this with no
-//!   preamble: their first four bytes are a length prefix.
-//! * **Binary** (`LSBP`, version-negotiated) — little-endian fixed-width
-//!   fields, length-prefixed strings, `f64` scores as raw bits (the same
-//!   idiom as the `ls-circuit` `LSCS` store). A binary client opens with
-//!   the magic `LSBP` + its highest supported version; the server answers
-//!   with the magic + the version it chose. Read as a `u32` length prefix
-//!   the magic is ~1.25 GiB — far above [`MAX_FRAME`] — so no legal JSON
-//!   frame can ever be mistaken for a hello, and a legacy JSON server
-//!   that receives one simply tears the connection, which the client
-//!   detects and falls back to JSON. See `decode_binary_frame` and
-//!   DESIGN.md §4j for the frame layouts.
-//!
-//! Request object:
-//!
-//! ```json
-//! {"id": 7, "query": "SELECT …", "tuple": ["Alice", 3],
-//!  "lineage": [0, 12, 31], "deadline_ms": 250}
-//! ```
-//!
-//! `tuple` holds the output tuple's values — JSON strings become
-//! `Value::Str`, JSON numbers become `Value::Int` (the relational layer has
-//! no float column type). `deadline_ms` is optional, as are the tier-path
-//! extras: `slo_us` (accuracy–latency budget) and `derivations` (the
-//! tuple's provenance, one array of fact ids per derivation). Responses
-//! answered by the tiered path carry `"tier":"exact"|"learned"|"sampled"`.
-//!
-//! Response object (success / failure):
-//!
-//! ```json
-//! {"id": 7, "ok": true, "cached": false,
-//!  "scores": [0.91, 0.13, 0.42], "ranking": [0, 31, 12]}
-//! {"id": 7, "ok": false, "error": "overloaded"}
-//! ```
-//!
-//! Scores are emitted with Rust's shortest-round-trip `f64` formatting and
-//! parsed back with a correctly-rounded parser, so the floats a TCP client
-//! receives are bit-identical to the in-process [`crate::RankResponse`] —
-//! the determinism invariant survives the wire.
+//! Scores travel as raw `f64` bits and feedback targets as raw `f32` bits,
+//! so the floats a TCP client receives are bit-identical to the in-process
+//! [`crate::RankResponse`] by construction, NaN payloads included — the
+//! determinism invariant survives the wire. Admin replies carry the
+//! handlers' JSON documents as one string.
 
 use crate::server::{RankRequest, RankResponse, ServeError, StageBreakdown};
 use ls_circuit::Tier;
@@ -53,7 +26,6 @@ use ls_core::FeedbackRecord;
 use ls_obs::{Json, TraceContext};
 use ls_relational::{FactId, Monomial, OutputTuple, Value};
 use std::fmt;
-use std::fmt::Write as _;
 use std::io::{self, Read, Write};
 use std::time::Duration;
 
@@ -122,39 +94,6 @@ pub fn frame_error(e: &io::Error) -> Option<&FrameError> {
     e.get_ref().and_then(|inner| inner.downcast_ref())
 }
 
-/// Write one length-prefixed frame.
-///
-/// Prefix and payload go out in a single vectored write where the sink
-/// allows it (one syscall on a raw `TcpStream`, no copy of the payload into
-/// a prefixed buffer); short vectored writes fall back to `write_all` for
-/// the remainder.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    if payload.len() as u64 > MAX_FRAME as u64 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            FrameError::TooLarge {
-                len: payload.len() as u64,
-                cap: MAX_FRAME,
-            },
-        ));
-    }
-    let prefix = (payload.len() as u32).to_le_bytes();
-    let mut sent = 0usize; // bytes of prefix+payload written so far
-    while sent < 4 {
-        let n =
-            w.write_vectored(&[io::IoSlice::new(&prefix[sent..]), io::IoSlice::new(payload)])?;
-        if n == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::WriteZero,
-                "failed to write frame prefix",
-            ));
-        }
-        sent += n;
-    }
-    w.write_all(&payload[sent - 4..])?;
-    w.flush()
-}
-
 /// Read one length-prefixed frame. Returns `Ok(None)` on a clean EOF at a
 /// frame boundary (the peer hung up between requests).
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
@@ -188,91 +127,6 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     Ok(Some(payload))
 }
 
-fn emit_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Encode a request frame payload. When `trace` is given, the frame carries
-/// the client's trace identity (`{"trace":{"id":"…","span":"…"}}`, 16-digit
-/// hex — JSON numbers are f64 and would round 64-bit ids) so server-side
-/// spans stitch into the client's trace.
-pub fn encode_request(id: u64, req: &RankRequest, trace: Option<&TraceContext>) -> Vec<u8> {
-    let mut out = String::new();
-    let _ = write!(out, "{{\"id\":{id}");
-    if let Some(ctx) = trace {
-        let _ = write!(
-            out,
-            ",\"trace\":{{\"id\":\"{}\",\"span\":\"{}\"}}",
-            ctx.trace_hex(),
-            ctx.span_hex()
-        );
-    }
-    out.push_str(",\"query\":");
-    emit_str(&mut out, &req.query_sql);
-    out.push_str(",\"tuple\":[");
-    for (i, v) in req.tuple.values.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        match v {
-            Value::Int(n) => {
-                let _ = write!(out, "{n}");
-            }
-            Value::Str(s) => emit_str(&mut out, s),
-        }
-    }
-    out.push_str("],\"lineage\":[");
-    for (i, f) in req.lineage.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{}", f.0);
-    }
-    out.push(']');
-    if let Some(d) = req.deadline {
-        let _ = write!(out, ",\"deadline_ms\":{}", d.as_millis());
-    }
-    // Tier-path extras, both optional so pre-tier peers interoperate: the
-    // accuracy-latency budget and the tuple's provenance (one array of fact
-    // ids per derivation), which the exact and sampled tiers require.
-    if let Some(slo) = req.slo {
-        let _ = write!(out, ",\"slo_us\":{}", slo.as_micros());
-    }
-    if !req.tuple.derivations.is_empty() {
-        out.push_str(",\"derivations\":[");
-        for (i, m) in req.tuple.derivations.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('[');
-            for (j, f) in m.facts().iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{}", f.0);
-            }
-            out.push(']');
-        }
-        out.push(']');
-    }
-    out.push('}');
-    out.into_bytes()
-}
-
 /// An introspection query carried on the same TCP port as rank traffic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdminCommand {
@@ -287,17 +141,7 @@ pub enum AdminCommand {
 }
 
 impl AdminCommand {
-    /// The wire keyword for this command.
-    pub fn keyword(self) -> &'static str {
-        match self {
-            AdminCommand::Metrics => "metrics",
-            AdminCommand::State => "state",
-            AdminCommand::Traces => "traces",
-            AdminCommand::Recorder => "recorder",
-        }
-    }
-
-    /// Parse a wire keyword.
+    /// Parse a command keyword (`metrics`, `state`, `traces`, `recorder`).
     pub fn from_keyword(s: &str) -> Option<AdminCommand> {
         match s {
             "metrics" => Some(AdminCommand::Metrics),
@@ -311,7 +155,7 @@ impl AdminCommand {
 
 /// One decoded inbound frame: rank traffic (with its optional client trace),
 /// an admin introspection query, or an online-learning feedback record —
-/// multiplexed by the `"admin"` and `"feedback"` keys.
+/// multiplexed by the frame-kind byte.
 #[derive(Debug)]
 pub enum Frame {
     /// A ranking request and the trace context it carried, if any.
@@ -322,408 +166,10 @@ pub enum Frame {
     Feedback(u64, FeedbackRecord),
 }
 
-/// Decode any inbound frame (rank, admin, or feedback).
-pub fn decode_frame(payload: &[u8]) -> Result<Frame, String> {
-    let text = std::str::from_utf8(payload).map_err(|e| format!("frame not UTF-8: {e}"))?;
-    let doc = ls_obs::parse_json(text)?;
-    let id = doc
-        .get("id")
-        .and_then(Json::as_u64)
-        .ok_or("missing numeric \"id\"")?;
-    if let Some(kw) = doc.get("admin").and_then(Json::as_str) {
-        let cmd = AdminCommand::from_keyword(kw).ok_or_else(|| format!("unknown admin {kw:?}"))?;
-        return Ok(Frame::Admin(id, cmd));
-    }
-    if let Some(fb) = doc.get("feedback") {
-        let query_sql = fb
-            .get("query")
-            .and_then(Json::as_str)
-            .ok_or("feedback missing string \"query\"")?
-            .to_string();
-        let tuple_fact = fb
-            .get("fact")
-            .and_then(Json::as_str)
-            .ok_or("feedback missing string \"fact\"")?
-            .to_string();
-        let target = fb
-            .get("target")
-            .and_then(Json::as_f64)
-            .ok_or("feedback missing numeric \"target\"")? as f32;
-        return Ok(Frame::Feedback(
-            id,
-            FeedbackRecord {
-                query_sql,
-                tuple_fact,
-                target,
-            },
-        ));
-    }
-    let trace = doc.get("trace").and_then(|t| {
-        TraceContext::from_hex(
-            t.get("id").and_then(Json::as_str)?,
-            t.get("span").and_then(Json::as_str),
-        )
-    });
-    let req = decode_rank_body(&doc)?;
-    Ok(Frame::Rank(id, req, trace))
-}
-
-/// Decode a request frame payload into `(id, request)`, rejecting admin
-/// frames. Retained for peers that speak only rank traffic.
-pub fn decode_request(payload: &[u8]) -> Result<(u64, RankRequest), String> {
-    match decode_frame(payload)? {
-        Frame::Rank(id, req, _) => Ok((id, req)),
-        Frame::Admin(..) => Err("admin frame where a rank request was expected".into()),
-        Frame::Feedback(..) => Err("feedback frame where a rank request was expected".into()),
-    }
-}
-
-fn decode_rank_body(doc: &Json) -> Result<RankRequest, String> {
-    let query_sql = doc
-        .get("query")
-        .and_then(Json::as_str)
-        .ok_or("missing string \"query\"")?
-        .to_string();
-    let mut values = Vec::new();
-    if let Some(Json::Arr(items)) = doc.get("tuple") {
-        for item in items {
-            match item {
-                Json::Str(s) => values.push(Value::Str(s.clone())),
-                Json::Num(n) => values.push(Value::Int(*n as i64)),
-                other => return Err(format!("bad tuple value {other:?}")),
-            }
-        }
-    } else {
-        return Err("missing array \"tuple\"".into());
-    }
-    let mut lineage = Vec::new();
-    if let Some(Json::Arr(items)) = doc.get("lineage") {
-        for item in items {
-            let n = item.as_u64().ok_or("lineage entries must be fact ids")?;
-            if n > u32::MAX as u64 {
-                return Err(format!("fact id {n} out of range"));
-            }
-            lineage.push(FactId(n as u32));
-        }
-    } else {
-        return Err("missing array \"lineage\"".into());
-    }
-    let deadline = doc
-        .get("deadline_ms")
-        .and_then(Json::as_u64)
-        .map(Duration::from_millis);
-    let slo = doc
-        .get("slo_us")
-        .and_then(Json::as_u64)
-        .map(Duration::from_micros);
-    let mut derivations = Vec::new();
-    if let Some(Json::Arr(monos)) = doc.get("derivations") {
-        for mono in monos {
-            let Json::Arr(ids) = mono else {
-                return Err("derivations must be arrays of fact ids".into());
-            };
-            let mut facts = Vec::with_capacity(ids.len());
-            for item in ids {
-                let n = item.as_u64().ok_or("derivation entries must be fact ids")?;
-                if n > u32::MAX as u64 {
-                    return Err(format!("fact id {n} out of range"));
-                }
-                facts.push(FactId(n as u32));
-            }
-            derivations.push(Monomial::from_facts(facts));
-        }
-    }
-    Ok(RankRequest {
-        query_sql,
-        tuple: OutputTuple {
-            values,
-            derivations,
-        },
-        lineage,
-        deadline,
-        slo,
-    })
-}
-
-/// Encode a feedback frame payload. `target` uses shortest-round-trip `f32`
-/// formatting, so the record the server appends to its WAL is bit-identical
-/// to the one the client held.
-pub fn encode_feedback_request(id: u64, rec: &FeedbackRecord) -> Vec<u8> {
-    let mut out = String::new();
-    let _ = write!(out, "{{\"id\":{id},\"feedback\":{{\"query\":");
-    emit_str(&mut out, &rec.query_sql);
-    out.push_str(",\"fact\":");
-    emit_str(&mut out, &rec.tuple_fact);
-    if rec.target.is_finite() {
-        let _ = write!(out, ",\"target\":{}", rec.target);
-    } else {
-        out.push_str(",\"target\":null");
-    }
-    out.push_str("}}");
-    out.into_bytes()
-}
-
-/// Encode a feedback response: on success the record's crash-durable log
-/// sequence number, on failure the typed error.
-pub fn encode_feedback_response(id: u64, result: &Result<u64, ServeError>) -> Vec<u8> {
-    let mut out = String::new();
-    encode_feedback_response_into(&mut out, id, result);
-    out.into_bytes()
-}
-
-/// [`encode_feedback_response`] into a reusable scratch buffer.
-pub fn encode_feedback_response_into(out: &mut String, id: u64, result: &Result<u64, ServeError>) {
-    out.clear();
-    match result {
-        Ok(lsn) => {
-            let _ = write!(out, "{{\"id\":{id},\"ok\":true,\"lsn\":{lsn}}}");
-        }
-        Err(e) => {
-            let _ = write!(out, "{{\"id\":{id},\"ok\":false,\"error\":");
-            emit_str(out, &e.to_string());
-            out.push('}');
-        }
-    }
-}
-
-/// Decode a feedback response into `(id, result)`.
-pub fn decode_feedback_response(payload: &[u8]) -> Result<(u64, Result<u64, ServeError>), String> {
-    let text = std::str::from_utf8(payload).map_err(|e| format!("frame not UTF-8: {e}"))?;
-    let doc = ls_obs::parse_json(text)?;
-    let id = doc
-        .get("id")
-        .and_then(Json::as_u64)
-        .ok_or("missing numeric \"id\"")?;
-    match doc.get("ok") {
-        Some(Json::Bool(true)) => {
-            let lsn = doc
-                .get("lsn")
-                .and_then(Json::as_u64)
-                .ok_or("missing numeric \"lsn\"")?;
-            Ok((id, Ok(lsn)))
-        }
-        Some(Json::Bool(false)) => {
-            let msg = doc.get("error").and_then(Json::as_str).unwrap_or("unknown");
-            let err = if let Some(detail) = msg.strip_prefix("bad request: ") {
-                ServeError::BadRequest(detail.to_string())
-            } else if let Some(detail) = msg.strip_prefix("internal: ") {
-                ServeError::Internal(detail.to_string())
-            } else {
-                ServeError::Transport(msg.to_string())
-            };
-            Ok((id, Err(err)))
-        }
-        _ => Err("missing boolean \"ok\"".into()),
-    }
-}
-
-/// Encode an admin query frame payload.
-pub fn encode_admin_request(id: u64, cmd: AdminCommand) -> Vec<u8> {
-    format!("{{\"id\":{id},\"admin\":\"{}\"}}", cmd.keyword()).into_bytes()
-}
-
-/// Encode an admin response. `data` must already be serialized JSON (the
-/// handlers produce their payloads directly); it is embedded verbatim.
-pub fn encode_admin_response(id: u64, data: &str) -> Vec<u8> {
-    let mut out = String::new();
-    encode_admin_response_into(&mut out, id, data);
-    out.into_bytes()
-}
-
-/// [`encode_admin_response`] into a reusable scratch buffer.
-pub fn encode_admin_response_into(out: &mut String, id: u64, data: &str) {
-    out.clear();
-    let _ = write!(out, "{{\"id\":{id},\"ok\":true,\"data\":{data}}}");
-}
-
-/// Decode an admin response into `(id, data)`.
-pub fn decode_admin_response(payload: &[u8]) -> Result<(u64, Json), String> {
-    let text = std::str::from_utf8(payload).map_err(|e| format!("frame not UTF-8: {e}"))?;
-    let mut doc = ls_obs::parse_json(text)?;
-    let id = doc
-        .get("id")
-        .and_then(Json::as_u64)
-        .ok_or("missing numeric \"id\"")?;
-    if !matches!(doc.get("ok"), Some(Json::Bool(true))) {
-        let msg = doc.get("error").and_then(Json::as_str).unwrap_or("unknown");
-        return Err(format!("admin query failed: {msg}"));
-    }
-    let data = match &mut doc {
-        Json::Obj(map) => map.remove("data"),
-        _ => None,
-    };
-    Ok((id, data.ok_or("missing \"data\"")?))
-}
-
-/// Encode a response frame payload.
-pub fn encode_response(id: u64, result: &Result<RankResponse, ServeError>) -> Vec<u8> {
-    let mut out = String::new();
-    encode_response_into(&mut out, id, result);
-    out.into_bytes()
-}
-
-/// [`encode_response`] into a caller-owned scratch buffer (cleared first),
-/// so a connection reuses one allocation across frames.
-pub fn encode_response_into(out: &mut String, id: u64, result: &Result<RankResponse, ServeError>) {
-    out.clear();
-    match result {
-        Ok(resp) => {
-            let _ = write!(
-                out,
-                "{{\"id\":{id},\"ok\":true,\"cached\":{},\"scores\":[",
-                resp.cached
-            );
-            // `degraded` is appended after `ranking` below only when set, so
-            // pre-resilience peers parse responses unchanged.
-            for (i, s) in resp.scores.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                if s.is_finite() {
-                    // Shortest round-trip formatting: parses back bit-identically.
-                    let _ = write!(out, "{s}");
-                } else {
-                    out.push_str("null");
-                }
-            }
-            out.push_str("],\"ranking\":[");
-            for (i, f) in resp.ranking.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{}", f.0);
-            }
-            out.push(']');
-            if resp.degraded {
-                out.push_str(",\"degraded\":true");
-            }
-            if let Some(b) = &resp.stages {
-                let _ = write!(
-                    out,
-                    concat!(
-                        ",\"stages\":{{\"probe_us\":{},\"queue_us\":{},\"batch_us\":{},",
-                        "\"score_us\":{},\"other_us\":{},\"total_us\":{}}}"
-                    ),
-                    b.probe_us, b.queue_us, b.batch_us, b.score_us, b.other_us, b.total_us
-                );
-            }
-            if let Some(t) = resp.tier {
-                let _ = write!(out, ",\"tier\":\"{t}\"");
-            }
-            out.push('}');
-        }
-        Err(e) => {
-            let _ = write!(out, "{{\"id\":{id},\"ok\":false,\"error\":");
-            emit_str(out, &e.to_string());
-            out.push('}');
-        }
-    }
-}
-
-/// Decode a response frame payload into `(id, result)`.
-pub fn decode_response(payload: &[u8]) -> Result<(u64, Result<RankResponse, ServeError>), String> {
-    let text = std::str::from_utf8(payload).map_err(|e| format!("frame not UTF-8: {e}"))?;
-    let doc = ls_obs::parse_json(text)?;
-    let id = doc
-        .get("id")
-        .and_then(Json::as_u64)
-        .ok_or("missing numeric \"id\"")?;
-    match doc.get("ok") {
-        Some(Json::Bool(true)) => {
-            let cached = matches!(doc.get("cached"), Some(Json::Bool(true)));
-            let mut scores = Vec::new();
-            if let Some(Json::Arr(items)) = doc.get("scores") {
-                for item in items {
-                    scores.push(item.as_f64().ok_or("scores must be numbers")?);
-                }
-            } else {
-                return Err("missing array \"scores\"".into());
-            }
-            let mut ranking = Vec::new();
-            if let Some(Json::Arr(items)) = doc.get("ranking") {
-                for item in items {
-                    let n = item.as_u64().ok_or("ranking entries must be fact ids")?;
-                    ranking.push(FactId(n as u32));
-                }
-            } else {
-                return Err("missing array \"ranking\"".into());
-            }
-            let degraded = matches!(doc.get("degraded"), Some(Json::Bool(true)));
-            let tier = doc
-                .get("tier")
-                .and_then(Json::as_str)
-                .and_then(Tier::from_name);
-            let stages = doc.get("stages").map(|s| {
-                let us = |key: &str| s.get(key).and_then(Json::as_u64).unwrap_or(0);
-                StageBreakdown {
-                    probe_us: us("probe_us"),
-                    queue_us: us("queue_us"),
-                    batch_us: us("batch_us"),
-                    score_us: us("score_us"),
-                    other_us: us("other_us"),
-                    total_us: us("total_us"),
-                }
-            });
-            Ok((
-                id,
-                Ok(RankResponse {
-                    scores,
-                    ranking,
-                    cached,
-                    degraded,
-                    stages,
-                    tier,
-                }),
-            ))
-        }
-        Some(Json::Bool(false)) => {
-            let msg = doc.get("error").and_then(Json::as_str).unwrap_or("unknown");
-            let err = match msg {
-                "overloaded" => ServeError::Overloaded,
-                "deadline exceeded" => ServeError::DeadlineExceeded,
-                "shutting down" => ServeError::ShuttingDown,
-                other => {
-                    if let Some(detail) = other.strip_prefix("bad request: ") {
-                        ServeError::BadRequest(detail.to_string())
-                    } else if let Some(detail) = other.strip_prefix("internal: ") {
-                        ServeError::Internal(detail.to_string())
-                    } else {
-                        ServeError::Transport(other.to_string())
-                    }
-                }
-            };
-            Ok((id, Err(err)))
-        }
-        _ => Err("missing boolean \"ok\"".into()),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Binary protocol ("LSBP")
-// ---------------------------------------------------------------------------
-
-/// Which payload encoding a connection speaks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Protocol {
-    /// UTF-8 JSON payloads (the legacy default; no connection preamble).
-    Json,
-    /// `LSBP` little-endian binary payloads (negotiated by hello/ack).
-    Binary,
-}
-
-impl fmt::Display for Protocol {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Protocol::Json => "json",
-            Protocol::Binary => "binary",
-        })
-    }
-}
-
-/// The binary-protocol connection magic. Read as a little-endian `u32`
-/// length prefix this is `0x5042_534C` ≈ 1.25 GiB — far above [`MAX_FRAME`]
-/// — so a hello can never be confused with a legal JSON frame, and a legacy
-/// JSON server that receives one rejects it as oversized and closes.
+/// The connection magic that opens every hello. Read as a little-endian
+/// `u32` length prefix it is `0x5042_534C` ≈ 1.25 GiB — far above
+/// [`MAX_FRAME`] — so no legal frame can be mistaken for a hello, and a
+/// peer that skips the hello is always torn rather than misread.
 pub const MAGIC: [u8; 4] = *b"LSBP";
 
 /// Highest binary protocol version this build speaks.
@@ -754,6 +200,25 @@ pub fn decode_hello(bytes: &[u8; HELLO_LEN]) -> Result<u16, FrameError> {
     Ok(version)
 }
 
+/// The client half of the hello: send ours, then require a well-formed ack
+/// at [`BINARY_VERSION`]. A reset, a short or foreign ack, and any other
+/// version are all plain `io::Error`s (the last two carry a
+/// [`FrameError`]), so a retrying caller treats a failed hello like any
+/// other transport failure.
+pub fn negotiate(stream: &mut (impl Read + Write)) -> io::Result<()> {
+    stream.write_all(&encode_hello(BINARY_VERSION))?;
+    let mut ack = [0u8; HELLO_LEN];
+    stream.read_exact(&mut ack)?;
+    let version = decode_hello(&ack).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+    if version != BINARY_VERSION {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            FrameError::UnsupportedVersion(version),
+        ));
+    }
+    Ok(())
+}
+
 // Frame-kind bytes (payload byte 0).
 const BK_RANK_REQ: u8 = 1;
 const BK_RANK_OK: u8 = 2;
@@ -772,9 +237,12 @@ fn frame_shell() -> Vec<u8> {
     vec![0u8; 4]
 }
 
+/// Backfill the length prefix. An oversized payload keeps a prefix above
+/// [`MAX_FRAME`] (saturating past `u32`), so a peer that receives it tears
+/// the connection instead of misframing; `TcpRankClient` refuses to send
+/// such a frame at all.
 fn seal_frame(mut buf: Vec<u8>) -> Vec<u8> {
-    let len = (buf.len() - 4) as u32;
-    debug_assert!(len <= MAX_FRAME, "encoder produced an oversized frame");
+    let len = u32::try_from(buf.len() - 4).unwrap_or(u32::MAX);
     buf[..4].copy_from_slice(&len.to_le_bytes());
     buf
 }
@@ -825,7 +293,7 @@ fn tier_from_code(code: u8) -> Result<Tier, FrameError> {
 }
 
 /// Encode a binary rank request as a complete frame (length prefix
-/// included, unlike the JSON `encode_*` functions which return payloads).
+/// included).
 pub fn encode_binary_request(id: u64, req: &RankRequest, trace: Option<&TraceContext>) -> Vec<u8> {
     let mut buf = frame_shell();
     buf.push(BK_RANK_REQ);
@@ -947,7 +415,8 @@ pub fn encode_binary_feedback_request(id: u64, rec: &FeedbackRecord) -> Vec<u8> 
     seal_frame(buf)
 }
 
-/// Encode a binary feedback response as a complete frame.
+/// Encode a binary feedback response as a complete frame: on success the
+/// record's crash-durable log sequence number, on failure the typed error.
 pub fn encode_binary_feedback_response(id: u64, result: &Result<u64, ServeError>) -> Vec<u8> {
     let mut buf = frame_shell();
     match result {
@@ -975,9 +444,9 @@ pub fn encode_binary_admin_request(id: u64, cmd: AdminCommand) -> Vec<u8> {
     seal_frame(buf)
 }
 
-/// Encode a binary admin response as a complete frame. The handler payloads
-/// are JSON documents either way, so the binary framing carries them as one
-/// length-prefixed string — obsctl works identically over both protocols.
+/// Encode a binary admin response as a complete frame. `data` is the
+/// handler's serialized JSON document, carried as one length-prefixed
+/// string for `obsctl` to parse.
 pub fn encode_binary_admin_response(id: u64, data: &str) -> Vec<u8> {
     let mut buf = frame_shell();
     buf.push(BK_ADMIN_OK);
@@ -1070,7 +539,9 @@ fn decode_binary_rank_req(c: &mut Cur<'_>) -> Result<Frame, FrameError> {
     let trace = if flags & 1 != 0 {
         let trace_id = c.u64()?;
         let span_id = c.u64()?;
-        Some(TraceContext {
+        // Trace id 0 means "untraced" everywhere in ls-obs; a context
+        // carrying it would stitch spans into a trace that does not exist.
+        (trace_id != 0).then_some(TraceContext {
             trace_id,
             span_id,
             parent: 0,
@@ -1296,218 +767,12 @@ mod tests {
     }
 
     #[test]
-    fn request_round_trip() {
-        let r = req();
-        let (id, back) = decode_request(&encode_request(42, &r, None)).unwrap();
-        assert_eq!(id, 42);
-        assert_eq!(back.query_sql, r.query_sql);
-        assert_eq!(back.tuple.values, r.tuple.values);
-        assert_eq!(back.lineage, r.lineage);
-        assert_eq!(back.deadline, r.deadline);
-    }
-
-    #[test]
-    fn slo_and_derivations_round_trip() {
-        let mut r = req();
-        r.slo = Some(Duration::from_micros(750));
-        r.tuple.derivations = vec![
-            Monomial::from_facts(vec![FactId(5), FactId(123456)]),
-            Monomial::from_facts(vec![FactId(0)]),
-        ];
-        let (_, back) = decode_request(&encode_request(7, &r, None)).unwrap();
-        assert_eq!(back.slo, r.slo);
-        assert_eq!(back.tuple.derivations, r.tuple.derivations);
-        // Requests without the optional fields stay on the legacy wire shape
-        // and decode to their defaults.
-        let legacy = encode_request(8, &req(), None);
-        assert!(!String::from_utf8_lossy(&legacy).contains("slo_us"));
-        assert!(!String::from_utf8_lossy(&legacy).contains("derivations"));
-        let (_, back) = decode_request(&legacy).unwrap();
-        assert_eq!(back.slo, None);
-        assert!(back.tuple.derivations.is_empty());
-    }
-
-    #[test]
-    fn tier_tag_round_trips_and_stays_optional() {
-        for tier in [
-            None,
-            Some(Tier::Exact),
-            Some(Tier::Learned),
-            Some(Tier::Sampled),
-        ] {
-            let resp = RankResponse {
-                scores: vec![0.5, 0.25],
-                ranking: vec![FactId(5), FactId(0)],
-                cached: false,
-                degraded: false,
-                stages: None,
-                tier,
-            };
-            let bytes = encode_response(3, &Ok(resp.clone()));
-            if tier.is_none() {
-                assert!(!String::from_utf8_lossy(&bytes).contains("tier"));
-            }
-            let (id, back) = decode_response(&bytes).unwrap();
-            assert_eq!(id, 3);
-            assert_eq!(back.unwrap().tier, tier);
-        }
-    }
-
-    #[test]
-    fn trace_context_round_trips_full_64_bits() {
-        let ctx = TraceContext {
-            trace_id: u64::MAX - 17, // would be rounded by an f64 number
-            span_id: (1 << 63) | 5,
-            parent: 0,
-        };
-        let bytes = encode_request(1, &req(), Some(&ctx));
-        match decode_frame(&bytes).unwrap() {
-            Frame::Rank(id, _, Some(back)) => {
-                assert_eq!(id, 1);
-                assert_eq!(back.trace_id, ctx.trace_id);
-                assert_eq!(back.span_id, ctx.span_id);
-            }
-            other => panic!("expected traced rank frame, got {other:?}"),
-        }
-        // Untraced frames decode with no context.
-        match decode_frame(&encode_request(2, &req(), None)).unwrap() {
-            Frame::Rank(_, _, None) => {}
-            other => panic!("expected untraced rank frame, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn admin_frames_round_trip() {
-        for cmd in [
-            AdminCommand::Metrics,
-            AdminCommand::State,
-            AdminCommand::Traces,
-            AdminCommand::Recorder,
-        ] {
-            match decode_frame(&encode_admin_request(9, cmd)).unwrap() {
-                Frame::Admin(9, back) => assert_eq!(back, cmd),
-                other => panic!("expected admin frame, got {other:?}"),
-            }
-        }
-        let resp = encode_admin_response(9, r#"{"inflight":3,"breaker":"closed"}"#);
-        let (id, data) = decode_admin_response(&resp).unwrap();
-        assert_eq!(id, 9);
-        assert_eq!(data.get("inflight").and_then(Json::as_u64), Some(3));
-        assert_eq!(data.get("breaker").and_then(Json::as_str), Some("closed"));
-    }
-
-    #[test]
-    fn feedback_frames_round_trip_bit_identically() {
-        let rec = FeedbackRecord {
-            query_sql: "SELECT \"name\"\nFROM movies".into(),
-            tuple_fact: "(Memento) | movies(12, 'Memento', 2000)".into(),
-            target: 0.123_456_79_f32, // awkward shortest-repr float
-        };
-        match decode_frame(&encode_feedback_request(11, &rec)).unwrap() {
-            Frame::Feedback(id, back) => {
-                assert_eq!(id, 11);
-                assert_eq!(back.query_sql, rec.query_sql);
-                assert_eq!(back.tuple_fact, rec.tuple_fact);
-                assert_eq!(back.target.to_bits(), rec.target.to_bits());
-            }
-            other => panic!("expected feedback frame, got {other:?}"),
-        }
-        let (id, ok) = decode_feedback_response(&encode_feedback_response(11, &Ok(42))).unwrap();
-        assert_eq!((id, ok), (11, Ok(42)));
-        let err = Err(ServeError::BadRequest(
-            "online learning is not enabled on this server".into(),
-        ));
-        let (_, back) = decode_feedback_response(&encode_feedback_response(12, &err)).unwrap();
-        assert_eq!(back, err);
-    }
-
-    #[test]
-    fn response_round_trip_is_bit_identical() {
-        // Awkward floats: subnormal, negative zero, many digits.
-        let resp = RankResponse {
-            scores: vec![0.1 + 0.2, -0.0, 1e-310, 0.123_456_789_012_345_68],
-            ranking: vec![FactId(2), FactId(0), FactId(1), FactId(3)],
-            cached: true,
-            degraded: false,
-            stages: None,
-            tier: None,
-        };
-        let (id, back) = decode_response(&encode_response(7, &Ok(resp.clone()))).unwrap();
-        assert_eq!(id, 7);
-        let back = back.unwrap();
-        assert!(back.cached);
-        assert_eq!(back.ranking, resp.ranking);
-        for (a, b) in resp.scores.iter().zip(&back.scores) {
-            assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn error_round_trip() {
-        for e in [
-            ServeError::Overloaded,
-            ServeError::DeadlineExceeded,
-            ServeError::ShuttingDown,
-            ServeError::BadRequest("unknown fact id 9".into()),
-            ServeError::Internal("worker panicked while scoring".into()),
-        ] {
-            let (_, back) = decode_response(&encode_response(1, &Err(e.clone()))).unwrap();
-            assert_eq!(back, Err(e));
-        }
-    }
-
-    #[test]
-    fn degraded_flag_survives_the_wire_and_defaults_off() {
-        let resp = RankResponse {
-            scores: vec![0.5],
-            ranking: vec![FactId(1)],
-            cached: false,
-            degraded: true,
-            stages: None,
-            tier: None,
-        };
-        let bytes = encode_response(3, &Ok(resp));
-        assert!(std::str::from_utf8(&bytes)
-            .unwrap()
-            .contains("\"degraded\":true"));
-        let (_, back) = decode_response(&bytes).unwrap();
-        assert!(back.unwrap().degraded);
-        // A frame without the key (older peer) decodes as not-degraded.
-        let legacy = br#"{"id":3,"ok":true,"cached":false,"scores":[0.5],"ranking":[1]}"#;
-        let (_, back) = decode_response(legacy).unwrap();
-        assert!(!back.unwrap().degraded);
-    }
-
-    #[test]
-    fn stage_breakdown_survives_the_wire() {
-        let resp = RankResponse {
-            scores: vec![0.5],
-            ranking: vec![FactId(1)],
-            cached: false,
-            degraded: false,
-            stages: Some(StageBreakdown {
-                probe_us: 3,
-                queue_us: 120,
-                batch_us: 40,
-                score_us: 900,
-                other_us: 7,
-                total_us: 1070,
-            }),
-            tier: None,
-        };
-        let (_, back) = decode_response(&encode_response(4, &Ok(resp.clone()))).unwrap();
-        assert_eq!(back.unwrap().stages, resp.stages);
-        // A frame without the key decodes as stage-less.
-        let legacy = br#"{"id":4,"ok":true,"cached":false,"scores":[0.5],"ranking":[1]}"#;
-        let (_, back) = decode_response(legacy).unwrap();
-        assert!(back.unwrap().stages.is_none());
-    }
-
-    #[test]
     fn frame_round_trip_and_eof() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, b"hello").unwrap();
-        write_frame(&mut buf, b"").unwrap();
+        for payload in [&b"hello"[..], b""] {
+            buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            buf.extend_from_slice(payload);
+        }
         let mut cursor = io::Cursor::new(buf);
         assert_eq!(read_frame(&mut cursor).unwrap().unwrap(), b"hello");
         assert_eq!(read_frame(&mut cursor).unwrap().unwrap(), b"");
@@ -1532,18 +797,6 @@ mod tests {
     }
 
     #[test]
-    fn oversized_write_rejected_with_typed_error() {
-        let payload = vec![0u8; MAX_FRAME as usize + 1];
-        let mut sink = Vec::new();
-        let err = write_frame(&mut sink, &payload).unwrap_err();
-        assert!(matches!(
-            frame_error(&err),
-            Some(&FrameError::TooLarge { .. })
-        ));
-        assert!(sink.is_empty(), "nothing must hit the wire");
-    }
-
-    #[test]
     fn truncated_frame_is_an_error() {
         let mut buf = Vec::new();
         buf.extend_from_slice(&10u32.to_le_bytes());
@@ -1560,8 +813,9 @@ mod tests {
     }
 
     #[test]
-    fn hello_magic_can_never_be_a_legal_json_frame() {
-        // The whole negotiation scheme rests on this inequality.
+    fn hello_magic_can_never_be_a_frame_length() {
+        // A peer that skips the hello is torn on its first four bytes; this
+        // inequality is what guarantees it is never misread as greeting.
         assert!(u32::from_le_bytes(MAGIC) > MAX_FRAME);
         let hello = encode_hello(BINARY_VERSION);
         assert_eq!(decode_hello(&hello), Ok(BINARY_VERSION));
@@ -1606,40 +860,69 @@ mod tests {
         // And without the optional fields.
         let frame = encode_binary_request(7, &req(), None);
         match decode_binary_frame(unframe(&frame)).unwrap() {
-            Frame::Rank(7, back, None) => assert!(back.slo.is_none()),
+            Frame::Rank(7, back, None) => {
+                assert!(back.slo.is_none());
+                assert!(back.tuple.derivations.is_empty());
+            }
             other => panic!("expected bare rank frame, got {other:?}"),
         }
     }
 
     #[test]
-    fn binary_response_round_trip_is_bit_identical() {
-        let resp = RankResponse {
-            scores: vec![0.1 + 0.2, -0.0, 1e-310, f64::NAN, 0.123_456_789_012_345_68],
-            ranking: vec![FactId(2), FactId(0), FactId(1), FactId(3)],
-            cached: true,
-            degraded: true,
-            stages: Some(StageBreakdown {
-                probe_us: 3,
-                queue_us: 120,
-                batch_us: 40,
-                score_us: 900,
-                other_us: 7,
-                total_us: 1070,
-            }),
-            tier: Some(Tier::Learned),
+    fn trace_id_zero_decodes_as_untraced() {
+        let ctx = TraceContext {
+            trace_id: 0,
+            span_id: 9,
+            parent: 0,
         };
-        let frame = encode_binary_response(9, &Ok(resp.clone()));
-        let (id, back) = decode_binary_response(unframe(&frame)).unwrap();
-        assert_eq!(id, 9);
-        let back = back.unwrap();
-        assert!(back.cached && back.degraded);
-        assert_eq!(back.ranking, resp.ranking);
-        assert_eq!(back.stages, resp.stages);
-        assert_eq!(back.tier, resp.tier);
-        for (a, b) in resp.scores.iter().zip(&back.scores) {
-            // Raw-bits transport: even NaN payloads survive, which the JSON
-            // path cannot promise (it sends null).
-            assert_eq!(a.to_bits(), b.to_bits());
+        let frame = encode_binary_request(3, &req(), Some(&ctx));
+        match decode_binary_frame(unframe(&frame)).unwrap() {
+            Frame::Rank(3, _, None) => {}
+            other => panic!("trace id 0 must decode as untraced, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn binary_response_round_trip_is_bit_identical() {
+        let stages = StageBreakdown {
+            probe_us: 3,
+            queue_us: 120,
+            batch_us: 40,
+            score_us: 900,
+            other_us: 7,
+            total_us: 1070,
+        };
+        // Every tier tag, and each optional part both present and absent.
+        for (i, tier) in [
+            None,
+            Some(Tier::Exact),
+            Some(Tier::Learned),
+            Some(Tier::Sampled),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let on = i % 2 == 1;
+            let resp = RankResponse {
+                scores: vec![0.1 + 0.2, -0.0, 1e-310, f64::NAN, 0.123_456_789_012_345_68],
+                ranking: vec![FactId(2), FactId(0), FactId(1), FactId(3)],
+                cached: on,
+                degraded: !on,
+                stages: on.then_some(stages),
+                tier,
+            };
+            let frame = encode_binary_response(9, &Ok(resp.clone()));
+            let (id, back) = decode_binary_response(unframe(&frame)).unwrap();
+            assert_eq!(id, 9);
+            let back = back.unwrap();
+            assert_eq!((back.cached, back.degraded), (resp.cached, resp.degraded));
+            assert_eq!(back.ranking, resp.ranking);
+            assert_eq!(back.stages, resp.stages);
+            assert_eq!(back.tier, resp.tier);
+            for (a, b) in resp.scores.iter().zip(&back.scores) {
+                // Raw-bits transport: even NaN payloads survive.
+                assert_eq!(a.to_bits(), b.to_bits());
+            }
         }
     }
 
@@ -1669,6 +952,7 @@ mod tests {
         match decode_binary_frame(unframe(&encode_binary_feedback_request(11, &rec))).unwrap() {
             Frame::Feedback(11, back) => {
                 assert_eq!(back.query_sql, rec.query_sql);
+                assert_eq!(back.tuple_fact, rec.tuple_fact);
                 assert_eq!(back.target.to_bits(), rec.target.to_bits());
             }
             other => panic!("expected feedback frame, got {other:?}"),
@@ -1677,6 +961,14 @@ mod tests {
         assert_eq!(
             decode_binary_feedback_response(unframe(&frame)).unwrap(),
             (11, Ok(42))
+        );
+        let err = Err(ServeError::BadRequest(
+            "online learning is not enabled on this server".into(),
+        ));
+        let frame = encode_binary_feedback_response(12, &err);
+        assert_eq!(
+            decode_binary_feedback_response(unframe(&frame)).unwrap(),
+            (12, err)
         );
         for cmd in [
             AdminCommand::Metrics,
@@ -1689,10 +981,11 @@ mod tests {
                 other => panic!("expected admin frame, got {other:?}"),
             }
         }
-        let frame = encode_binary_admin_response(9, r#"{"inflight":3}"#);
+        let frame = encode_binary_admin_response(9, r#"{"inflight":3,"breaker":"closed"}"#);
         let (id, data) = decode_binary_admin_response(unframe(&frame)).unwrap();
         assert_eq!(id, 9);
         assert_eq!(data.get("inflight").and_then(Json::as_u64), Some(3));
+        assert_eq!(data.get("breaker").and_then(Json::as_str), Some("closed"));
     }
 
     #[test]
@@ -1719,47 +1012,5 @@ mod tests {
             }
             other => panic!("expected Malformed, got {:?}", other.map(|_| ())),
         }
-    }
-
-    #[test]
-    fn scratch_encoders_match_their_allocating_twins() {
-        let ok: Result<RankResponse, ServeError> = Ok(RankResponse {
-            scores: vec![0.5, 0.25],
-            ranking: vec![FactId(1), FactId(0)],
-            cached: false,
-            degraded: false,
-            stages: None,
-            tier: None,
-        });
-        let mut scratch = String::from("residue from a previous frame");
-        encode_response_into(&mut scratch, 5, &ok);
-        assert_eq!(scratch.as_bytes(), &encode_response(5, &ok)[..]);
-        encode_feedback_response_into(&mut scratch, 6, &Ok(9));
-        assert_eq!(scratch.as_bytes(), &encode_feedback_response(6, &Ok(9))[..]);
-        encode_admin_response_into(&mut scratch, 7, "{}");
-        assert_eq!(scratch.as_bytes(), &encode_admin_response(7, "{}")[..]);
-    }
-
-    #[test]
-    fn vectored_write_frame_survives_short_writes() {
-        // A sink that accepts one byte per call exercises every resumption
-        // path in the vectored prefix+payload write.
-        struct OneByte(Vec<u8>);
-        impl Write for OneByte {
-            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-                if buf.is_empty() {
-                    return Ok(0);
-                }
-                self.0.push(buf[0]);
-                Ok(1)
-            }
-            fn flush(&mut self) -> io::Result<()> {
-                Ok(())
-            }
-        }
-        let mut sink = OneByte(Vec::new());
-        write_frame(&mut sink, b"payload").unwrap();
-        let mut cursor = io::Cursor::new(sink.0);
-        assert_eq!(read_frame(&mut cursor).unwrap().unwrap(), b"payload");
     }
 }

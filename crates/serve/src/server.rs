@@ -772,13 +772,22 @@ impl ServeHandle {
     /// Submit one feedback record to the online-learning WAL. Returns the
     /// record's log sequence number once it is **crash-durable** (appended
     /// and fsynced) — the online trainer picks it up asynchronously.
-    /// Fails typed when the server runs without [`Server::enable_online`].
+    /// Fails typed when the server runs without [`Server::enable_online`],
+    /// and rejects a non-finite `target` before it reaches the WAL: one NaN
+    /// or infinite label would turn every weight NaN on the next optimizer
+    /// step, and WAL replay would repeat it after every restart.
     pub fn feedback(&self, rec: &ls_core::FeedbackRecord) -> Result<u64, ServeError> {
         let Some(online) = self.shared.online.get() else {
             return Err(ServeError::BadRequest(
                 "online learning is not enabled on this server".into(),
             ));
         };
+        if !rec.target.is_finite() {
+            return Err(ServeError::BadRequest(format!(
+                "feedback target {} is not finite",
+                rec.target
+            )));
+        }
         online.append(rec)
     }
 

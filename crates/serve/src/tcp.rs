@@ -1,10 +1,10 @@
-//! TCP front-end: a readiness-driven event loop speaking the framed
-//! protocols of [`crate::proto`] (JSON and negotiated binary), forwarding
-//! each request to a [`ServeHandle`].
+//! TCP front-end: a readiness-driven event loop speaking the `LSBP` binary
+//! protocol of [`crate::proto`], forwarding each request to a
+//! [`ServeHandle`].
 //!
 //! One blocking acceptor thread sets `TCP_NODELAY`, flips the socket
 //! nonblocking, and round-robins it to one of N event-loop **shards**
-//! (see [`crate::evloop`]); each shard multiplexes thousands of
+//! (the private `evloop` module); each shard multiplexes thousands of
 //! connections over a [`crate::poller::Poller`] (epoll on Linux, poll(2)
 //! fallback) and hands decoded rank requests to the worker pool via
 //! [`ServeHandle::rank_async`] — connection count no longer costs a thread
@@ -14,24 +14,19 @@
 //!
 //! A torn or malformed frame poisons exactly one connection: the handler
 //! replies with a typed error where it still can (garbage inside a
-//! well-formed frame, on either protocol), or closes that connection
-//! (corrupt length prefix, mid-frame EOF) — the accept loop and every
-//! other connection are untouched. [`TcpRankClient`] is the other half of
-//! the story: it reconnects on transport failures with capped, jittered
-//! exponential backoff and resends the (idempotent) request under the same
-//! id, within an optional overall deadline. A binary-preferring client
-//! that meets a legacy JSON-only server falls back to JSON once and stays
-//! there (sticky), so mixed fleets upgrade without a flag day.
+//! well-formed frame), or closes that connection (no hello, corrupt length
+//! prefix, mid-frame EOF) — the accept loop and every other connection are
+//! untouched. [`TcpRankClient`] is the other half of the story: it
+//! reconnects on transport failures (a failed hello included) with capped,
+//! jittered exponential backoff and resends the (idempotent) request under
+//! the same id, within an optional overall deadline.
 
 use crate::evloop::{self, Inbound, Mailbox};
 use crate::poller::{wake_pair, Backend};
-use crate::proto::{
-    self, decode_hello, encode_admin_request, encode_feedback_request, encode_hello, read_frame,
-    write_frame, AdminCommand, Protocol, BINARY_VERSION, HELLO_LEN,
-};
+use crate::proto::{self, read_frame, AdminCommand, FrameError, MAX_FRAME};
 use crate::server::{RankRequest, RankResponse, ServeError, ServeHandle};
 use ls_fault::{Backoff, Injector, NoFaults};
-use std::io::{self, BufReader, Read, Write};
+use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -174,12 +169,6 @@ impl TcpServer {
     }
 }
 
-/// TCP_NODELAY is on by default (`LS_NODELAY=0` disables it, existing only
-/// so the effect stays measurable — see EXPERIMENTS.md).
-fn nodelay() -> bool {
-    std::env::var("LS_NODELAY").map_or(true, |v| v != "0")
-}
-
 fn accept_loop(listener: TcpListener, mailboxes: &[Arc<Mailbox>], stop: &AtomicBool) {
     let mut rr = 0usize;
     for conn in listener.incoming() {
@@ -190,11 +179,8 @@ fn accept_loop(listener: TcpListener, mailboxes: &[Arc<Mailbox>], stop: &AtomicB
         ls_obs::counter("serve.tcp.connections").incr();
         // NODELAY before the socket ever carries a frame: request/response
         // frames are far smaller than an MTU, and Nagle would otherwise
-        // serialize them behind delayed ACKs (p99 effect measured in
-        // EXPERIMENTS.md).
-        if nodelay() {
-            let _ = stream.set_nodelay(true);
-        }
+        // serialize them behind delayed ACKs on a real network.
+        let _ = stream.set_nodelay(true);
         mailboxes[rr % mailboxes.len()].push(Inbound::Conn(stream));
         rr = rr.wrapping_add(1);
     }
@@ -233,61 +219,35 @@ impl RetryPolicy {
     }
 }
 
-/// A blocking client for the framed protocols, with transparent reconnect.
+/// A blocking client for the binary protocol, with transparent reconnect.
 ///
 /// Ranking requests are idempotent (same input, same bit-identical answer),
-/// so a transport failure — connection refused, torn frame, server restart
-/// — is handled by reconnecting and resending the same request under the
-/// same id, per the configured [`RetryPolicy`]. Typed server answers
-/// (including server-side errors like `Overloaded`) are final and never
-/// retried here: backpressure decisions belong to the caller.
-///
-/// The client speaks JSON by default. [`TcpRankClient::connect_binary`]
-/// (or [`connect_opts`](TcpRankClient::connect_opts) with
-/// [`Protocol::Binary`]) opens with the `LSBP` hello; if the server does
-/// not ack — a legacy JSON-only peer closes the connection on the
-/// magic's oversized pseudo-length — the client reconnects plain and
-/// *stays* on JSON for its lifetime, so every later reconnect skips the
-/// doomed hello.
+/// so a transport failure — connection refused, failed hello, torn frame,
+/// server restart — is handled by reconnecting and resending the same
+/// request under the same id, per the configured [`RetryPolicy`]. Typed
+/// server answers (including server-side errors like `Overloaded`) are
+/// final and never retried here: backpressure decisions belong to the
+/// caller. Every connection, the first and each reconnect, opens with the
+/// hello ([`proto::negotiate`]).
 pub struct TcpRankClient {
     addr: SocketAddr,
     policy: RetryPolicy,
-    prefer: Protocol,
-    /// Protocol of the *current* connection (`prefer` modulo fallback).
-    active: Protocol,
-    /// Set after a failed binary hello: never negotiate again.
-    json_fallback: bool,
     conn: Option<(BufReader<TcpStream>, TcpStream)>,
     next_id: u64,
 }
 
 impl TcpRankClient {
-    /// Connect to a [`TcpServer`] with no retries (fail-fast), JSON.
+    /// Connect to a [`TcpServer`] with no retries (fail-fast).
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<TcpRankClient> {
-        TcpRankClient::connect_opts(addr, RetryPolicy::none(), Protocol::Json)
+        TcpRankClient::connect_with(addr, RetryPolicy::none())
     }
 
-    /// Connect with an explicit retry policy, JSON.
+    /// Connect with an explicit retry policy. The initial connection and
+    /// hello are attempted eagerly so misconfiguration fails at
+    /// construction.
     pub fn connect_with(
         addr: impl ToSocketAddrs,
         policy: RetryPolicy,
-    ) -> io::Result<TcpRankClient> {
-        TcpRankClient::connect_opts(addr, policy, Protocol::Json)
-    }
-
-    /// Connect preferring the binary protocol (falls back to JSON against
-    /// a legacy server), no retries.
-    pub fn connect_binary(addr: impl ToSocketAddrs) -> io::Result<TcpRankClient> {
-        TcpRankClient::connect_opts(addr, RetryPolicy::none(), Protocol::Binary)
-    }
-
-    /// Connect with an explicit retry policy and protocol preference. The
-    /// initial connection is attempted eagerly so misconfiguration fails at
-    /// construction.
-    pub fn connect_opts(
-        addr: impl ToSocketAddrs,
-        policy: RetryPolicy,
-        prefer: Protocol,
     ) -> io::Result<TcpRankClient> {
         let addr = addr
             .to_socket_addrs()?
@@ -296,9 +256,6 @@ impl TcpRankClient {
         let mut client = TcpRankClient {
             addr,
             policy,
-            prefer,
-            active: Protocol::Json,
-            json_fallback: false,
             conn: None,
             next_id: 1,
         };
@@ -306,94 +263,71 @@ impl TcpRankClient {
         Ok(client)
     }
 
-    /// The protocol the current (or next) connection speaks — after a
-    /// sticky fallback this reports [`Protocol::Json`] even for a
-    /// binary-preferring client.
-    pub fn protocol(&self) -> Protocol {
-        if self.conn.is_some() {
-            self.active
-        } else if self.json_fallback {
-            Protocol::Json
-        } else {
-            self.prefer
-        }
-    }
-
     fn ensure_conn(&mut self) -> io::Result<()> {
         if self.conn.is_some() {
             return Ok(());
         }
         let mut stream = TcpStream::connect(self.addr)?;
-        if nodelay() {
-            stream.set_nodelay(true)?;
-        }
-        self.active = Protocol::Json;
-        if self.prefer == Protocol::Binary && !self.json_fallback {
-            match negotiate(&mut stream) {
-                Ok(()) => self.active = Protocol::Binary,
-                Err(_) => {
-                    // Legacy server: it saw our magic as an oversized frame
-                    // and closed. Reconnect plain and never negotiate with
-                    // this address again.
-                    ls_obs::counter("serve.client.binary_fallback").incr();
-                    self.json_fallback = true;
-                    stream = TcpStream::connect(self.addr)?;
-                    if nodelay() {
-                        stream.set_nodelay(true)?;
-                    }
-                }
-            }
-        }
+        stream.set_nodelay(true)?;
+        proto::negotiate(&mut stream)?;
         let reader = BufReader::new(stream.try_clone()?);
         self.conn = Some((reader, stream));
         ls_obs::counter("serve.client.connects").incr();
         Ok(())
     }
 
-    /// One wire round trip. Any `Err` means the connection state is suspect
-    /// and must be torn down before a retry.
-    fn attempt(
+    fn take_id(&mut self) -> u64 {
+        let id = self.next_id;
+        self.next_id += 1;
+        id
+    }
+
+    /// One wire round trip: write an encoded frame, read the reply, decode
+    /// it and check it answers `id`. Any `Err` leaves the connection state
+    /// suspect, so it is dropped and the next call starts on a fresh socket
+    /// (no stale frames possible).
+    fn exchange<T>(
         &mut self,
         id: u64,
-        req: &RankRequest,
-        trace: Option<&ls_obs::TraceContext>,
-    ) -> io::Result<Result<RankResponse, ServeError>> {
-        self.ensure_conn()?;
-        let active = self.active;
-        let (reader, writer) = self.conn.as_mut().expect("connection just established");
-        let payload = match active {
-            Protocol::Json => {
-                write_frame(writer, &proto::encode_request(id, req, trace))?;
-                read_frame(reader)?
-            }
-            Protocol::Binary => {
-                // Binary encoders emit prefix+payload in one buffer — a
-                // single write_all, no vectored assembly needed.
-                writer.write_all(&proto::encode_binary_request(id, req, trace))?;
-                read_frame(reader)?
-            }
+        frame: &[u8],
+        decode: impl Fn(&[u8]) -> Result<(u64, T), FrameError>,
+    ) -> io::Result<T> {
+        let result = self.try_exchange(id, frame, decode);
+        if result.is_err() {
+            self.conn = None;
         }
-        .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "server closed connection"))?;
-        let (resp_id, result) = match active {
-            Protocol::Json => proto::decode_response(&payload)
-                .map_err(|m| io::Error::new(io::ErrorKind::InvalidData, m))?,
-            Protocol::Binary => proto::decode_binary_response(&payload)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?,
-        };
+        result
+    }
+
+    fn try_exchange<T>(
+        &mut self,
+        id: u64,
+        frame: &[u8],
+        decode: impl Fn(&[u8]) -> Result<(u64, T), FrameError>,
+    ) -> io::Result<T> {
+        self.ensure_conn()?;
+        let (reader, writer) = self.conn.as_mut().expect("connection just established");
+        writer.write_all(frame)?;
+        let payload = read_frame(reader)?.ok_or_else(|| {
+            io::Error::new(io::ErrorKind::UnexpectedEof, "server closed connection")
+        })?;
+        let (resp_id, value) =
+            decode(&payload).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
         if resp_id != id {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("response id {resp_id} does not match request id {id}"),
             ));
         }
-        Ok(result)
+        Ok(value)
     }
 
     /// Send one request and block for its response, reconnecting and
-    /// resending on transport failures per the [`RetryPolicy`].
+    /// resending on transport failures per the [`RetryPolicy`]. A request
+    /// whose frame would exceed [`MAX_FRAME`] fails `BadRequest` before any
+    /// byte is written.
     pub fn rank(&mut self, req: &RankRequest) -> Result<RankResponse, ServeError> {
-        let id = self.next_id;
-        self.next_id += 1;
+        let id = self.take_id();
         // Propagate the caller's ambient trace, or mint a fresh root when
         // telemetry is on and no trace is active — the id the server echoes
         // into its spans and exemplars either way. Untraced when obs is off,
@@ -404,6 +338,7 @@ impl TcpRankClient {
         let _span = trace
             .is_some()
             .then(|| ls_obs::span("serve.client.request"));
+        let frame = within_cap(proto::encode_binary_request(id, req, trace.as_ref()))?;
         let started = Instant::now();
         let attempts = self.policy.attempts.max(1);
         let mut last_err: Option<io::Error> = None;
@@ -420,14 +355,9 @@ impl TcpRankClient {
                 std::thread::sleep(delay);
                 ls_obs::counter("serve.client.retries").incr();
             }
-            match self.attempt(id, req, trace.as_ref()) {
+            match self.exchange(id, &frame, proto::decode_binary_response) {
                 Ok(result) => return result,
-                Err(e) => {
-                    // Connection state unknown: drop it so the next attempt
-                    // starts on a fresh socket (no stale frames possible).
-                    self.conn = None;
-                    last_err = Some(e);
-                }
+                Err(e) => last_err = Some(e),
             }
         }
         let detail = last_err.map_or_else(|| "no attempts made".to_string(), |e| e.to_string());
@@ -442,45 +372,10 @@ impl TcpRankClient {
     /// unlike rank traffic, a resend after a transport failure could append
     /// the record twice (the ack may have been lost, not the append).
     pub fn feedback(&mut self, rec: &ls_core::FeedbackRecord) -> Result<u64, ServeError> {
-        let id = self.next_id;
-        self.next_id += 1;
-        let run = |client: &mut Self| -> io::Result<(u64, Result<u64, ServeError>)> {
-            client.ensure_conn()?;
-            let active = client.active;
-            let (reader, writer) = client.conn.as_mut().expect("connection just established");
-            let payload = match active {
-                Protocol::Json => {
-                    write_frame(writer, &encode_feedback_request(id, rec))?;
-                    read_frame(reader)?
-                }
-                Protocol::Binary => {
-                    writer.write_all(&proto::encode_binary_feedback_request(id, rec))?;
-                    read_frame(reader)?
-                }
-            }
-            .ok_or_else(|| {
-                io::Error::new(io::ErrorKind::UnexpectedEof, "server closed connection")
-            })?;
-            match active {
-                Protocol::Json => proto::decode_feedback_response(&payload)
-                    .map_err(|m| io::Error::new(io::ErrorKind::InvalidData, m)),
-                Protocol::Binary => proto::decode_binary_feedback_response(&payload)
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string())),
-            }
-        };
-        match run(self) {
-            Ok((resp_id, result)) if resp_id == id => result,
-            Ok((resp_id, _)) => {
-                self.conn = None;
-                Err(ServeError::Transport(format!(
-                    "response id {resp_id} does not match request id {id}"
-                )))
-            }
-            Err(e) => {
-                self.conn = None;
-                Err(ServeError::Transport(e.to_string()))
-            }
-        }
+        let id = self.take_id();
+        let frame = within_cap(proto::encode_binary_feedback_request(id, rec))?;
+        self.exchange(id, &frame, proto::decode_binary_feedback_response)
+            .map_err(|e| ServeError::Transport(e.to_string()))?
     }
 
     /// Run one admin introspection query (metrics, state, traces, recorder)
@@ -488,62 +383,23 @@ impl TcpRankClient {
     /// queries are served inline by the connection handler — they never
     /// enter the ranking pipeline — and are not retried.
     pub fn admin(&mut self, cmd: AdminCommand) -> Result<ls_obs::Json, ServeError> {
-        let id = self.next_id;
-        self.next_id += 1;
-        let run = |client: &mut Self| -> io::Result<(u64, ls_obs::Json)> {
-            client.ensure_conn()?;
-            let active = client.active;
-            let (reader, writer) = client.conn.as_mut().expect("connection just established");
-            let payload = match active {
-                Protocol::Json => {
-                    write_frame(writer, &encode_admin_request(id, cmd))?;
-                    read_frame(reader)?
-                }
-                Protocol::Binary => {
-                    writer.write_all(&proto::encode_binary_admin_request(id, cmd))?;
-                    read_frame(reader)?
-                }
-            }
-            .ok_or_else(|| {
-                io::Error::new(io::ErrorKind::UnexpectedEof, "server closed connection")
-            })?;
-            match active {
-                Protocol::Json => proto::decode_admin_response(&payload)
-                    .map_err(|m| io::Error::new(io::ErrorKind::InvalidData, m)),
-                Protocol::Binary => proto::decode_binary_admin_response(&payload)
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string())),
-            }
-        };
-        match run(self) {
-            Ok((resp_id, data)) if resp_id == id => Ok(data),
-            Ok((resp_id, _)) => {
-                self.conn = None;
-                Err(ServeError::Transport(format!(
-                    "response id {resp_id} does not match request id {id}"
-                )))
-            }
-            Err(e) => {
-                self.conn = None;
-                Err(ServeError::Transport(e.to_string()))
-            }
-        }
+        let id = self.take_id();
+        let frame = proto::encode_binary_admin_request(id, cmd);
+        self.exchange(id, &frame, proto::decode_binary_admin_response)
+            .map_err(|e| ServeError::Transport(e.to_string()))
     }
 }
 
-/// Client side of the version handshake: send hello, require a well-formed
-/// ack. Any failure (EOF from a legacy server, garbage, version 0) makes
-/// the caller fall back to JSON on a fresh socket.
-fn negotiate(stream: &mut TcpStream) -> io::Result<()> {
-    stream.write_all(&encode_hello(BINARY_VERSION))?;
-    let mut ack = [0u8; HELLO_LEN];
-    stream.read_exact(&mut ack)?;
-    let version = decode_hello(&ack)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    if version != BINARY_VERSION {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("server chose unsupported version {version}"),
-        ));
+/// Refuse, before a byte hits the wire, a frame the server would tear the
+/// connection over: its payload exceeds [`MAX_FRAME`].
+fn within_cap(frame: Vec<u8>) -> Result<Vec<u8>, ServeError> {
+    let len = (frame.len() - 4) as u64;
+    if len > u64::from(MAX_FRAME) {
+        let e = FrameError::TooLarge {
+            len,
+            cap: MAX_FRAME,
+        };
+        return Err(ServeError::BadRequest(e.to_string()));
     }
-    Ok(())
+    Ok(frame)
 }

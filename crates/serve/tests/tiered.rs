@@ -254,8 +254,8 @@ fn no_slo_or_no_store_rides_the_learned_pipeline() {
     server.shutdown();
 }
 
-/// The tier tag, SLO budget, and derivations all survive the framed-JSON
-/// wire: a TCP client gets the same tiers the in-process path picks.
+/// The tier tag, SLO budget, and derivations all survive the binary wire:
+/// a TCP client gets the same tiers the in-process path picks.
 #[test]
 fn tier_survives_the_tcp_wire() {
     let bundle = fixture_bundle();

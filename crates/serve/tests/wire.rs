@@ -1,5 +1,5 @@
-//! Wire-protocol tests: binary decoder robustness, version negotiation,
-//! and cross-protocol equivalence.
+//! Wire-protocol tests: binary decoder robustness, the mandatory hello,
+//! and bit-identity over the wire.
 //!
 //! Three contracts are pinned here:
 //!
@@ -7,13 +7,11 @@
 //!    truncation of a valid frame must come back as a typed [`FrameError`],
 //!    not a panic or a bogus decode — the server feeds it bytes straight
 //!    off the network.
-//! 2. **Version negotiation degrades, never breaks.** A binary-preferring
-//!    client against a binary server speaks binary; against a legacy
-//!    JSON-only server it falls back to JSON — sticky, transparent, and
-//!    with correct answers either way.
-//! 3. **Protocol choice is invisible in the answers.** The same request
-//!    served over JSON and over binary yields bit-identical scores and the
-//!    same ranking as the serial oracle, on the epoll and poll backends,
+//! 2. **Every connection opens with the hello.** A peer that skips it is
+//!    torn unanswered without disturbing anyone else, and the client never
+//!    sends a frame the server would have to tear.
+//! 3. **The wire is invisible in the answers.** Served responses are
+//!    bit-identical to the serial oracle on the epoll and poll backends,
 //!    with one shard or several, pipelined or not.
 
 use ls_core::{save_model, LearnShapleyModel, Tokenizer};
@@ -21,13 +19,14 @@ use ls_fault::NoFaults;
 use ls_nn::EncoderConfig;
 use ls_relational::{ColType, Database, FactId, OutputTuple, TableSchema, Value};
 use ls_serve::{
-    proto, Backend, FrameError, ModelBundle, Protocol, RankRequest, RankResponse, RetryPolicy,
-    ServeConfig, Server, TcpOptions, TcpRankClient, TcpServer, Tier,
+    proto, Backend, FrameError, ModelBundle, RankRequest, RankResponse, ServeConfig, ServeError,
+    Server, TcpOptions, TcpRankClient, TcpServer, Tier,
 };
 use proptest::prelude::*;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
+use std::time::Duration;
 
 const MAX_LEN: usize = 48;
 
@@ -221,127 +220,102 @@ fn hello_rejects_wrong_magic_and_version_mismatch_is_visible() {
         proto::decode_hello(&bad),
         Err(FrameError::BadMagic(_))
     ));
-    // The magic deliberately reads as an oversized length prefix to a
-    // legacy JSON server, so it tears the connection instead of parsing
-    // garbage. Pin that property: it is what makes fallback detectable.
-    let as_len = u32::from_le_bytes(proto::MAGIC);
-    assert!(as_len > proto::MAX_FRAME, "magic must exceed MAX_FRAME");
 }
 
 // ---------------------------------------------------------------------------
-// 2. Version negotiation matrix
+// 2. The mandatory hello, and frames the server would have to tear
 // ---------------------------------------------------------------------------
 
-/// A thread-per-connection JSON-only server — the previous generation of
-/// this crate's front-end, reconstructed to test fallback against. It knows
-/// nothing of the hello: the magic arrives as an oversized length prefix,
-/// `read_frame` rejects it, and the connection drops.
-fn spawn_legacy_json_server(bundle: Arc<ModelBundle>) -> std::net::SocketAddr {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind legacy");
-    let addr = listener.local_addr().expect("addr");
-    let server = Server::start(bundle, ServeConfig::default());
-    let handle = server.handle();
-    std::thread::spawn(move || {
-        let _server = server; // keep the pool alive for the test's lifetime
-        for stream in listener.incoming() {
-            let Ok(mut stream) = stream else { continue };
-            let handle = handle.clone();
-            std::thread::spawn(move || {
-                let mut reader = std::io::BufReader::new(match stream.try_clone() {
-                    Ok(s) => s,
-                    Err(_) => return,
-                });
-                // A torn prefix (the binary magic) errors out of read_frame
-                // and ends the connection — exactly what a legacy server did.
-                while let Ok(Some(payload)) = proto::read_frame(&mut reader) {
-                    let reply = match proto::decode_frame(&payload) {
-                        Ok(proto::Frame::Rank(id, req, _)) => {
-                            proto::encode_response(id, &handle.rank(req))
-                        }
-                        Ok(_) | Err(_) => return,
-                    };
-                    if proto::write_frame(&mut stream, &reply).is_err() {
-                        return;
-                    }
-                }
-            });
-        }
-    });
-    addr
-}
-
+/// A connection that opens with an old-style JSON frame (a length prefix
+/// where the magic belongs) gets no reply and is torn; the tear is counted
+/// and another client on the same server keeps being served.
 #[test]
-fn negotiation_matrix_binary_json_and_legacy_fallback() {
+fn connection_without_hello_is_torn_and_others_keep_serving() {
     let bundle = fixture_bundle();
     let reqs = requests(&bundle);
-    let serial: Vec<RankResponse> = reqs.iter().map(|r| serial_answer(&bundle, r)).collect();
-
-    // Modern server: speaks both.
-    let server = Server::start(bundle.clone(), ServeConfig::default());
+    let serial = serial_answer(&bundle, &reqs[0]);
+    let server = Server::start(bundle, ServeConfig::default());
     let tcp = TcpServer::start(server.handle(), "127.0.0.1:0").expect("bind");
-    let addr = tcp.local_addr();
+    let torn = ls_obs::counter("serve.tcp.torn_connections");
+    let before = torn.get();
 
-    // binary client ↔ binary server: negotiated up.
-    let mut bin = TcpRankClient::connect_binary(addr).expect("binary connect");
-    assert_eq!(bin.protocol(), Protocol::Binary);
-    assert_bit_identical(&bin.rank(&reqs[0]).expect("binary rank"), &serial[0]);
-
-    // json client ↔ binary server: plain JSON, no hello on the wire.
-    let mut json = TcpRankClient::connect(addr).expect("json connect");
-    assert_eq!(json.protocol(), Protocol::Json);
-    assert_bit_identical(&json.rank(&reqs[1]).expect("json rank"), &serial[1]);
-
-    tcp.stop();
-    server.shutdown();
-
-    // binary-preferring client ↔ legacy JSON-only server: sticky fallback.
-    let legacy = spawn_legacy_json_server(bundle);
-    let mut fb = TcpRankClient::connect_opts(legacy, RetryPolicy::default(), Protocol::Binary)
-        .expect("fallback connect");
-    assert_eq!(
-        fb.protocol(),
-        Protocol::Json,
-        "client must fall back to JSON against a legacy server"
+    let mut stream = TcpStream::connect(tcp.local_addr()).expect("connect");
+    let json = br#"{"id":1,"query":"SELECT title FROM movies","tuple":[],"lineage":[0]}"#;
+    stream
+        .write_all(&(json.len() as u32).to_le_bytes())
+        .expect("prefix");
+    stream.write_all(json).expect("payload");
+    // Closed without a byte back — not even a hello ack. A reset counts as
+    // closed too; the timeout turns a server that keeps waiting into a
+    // failure, not a hang.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("timeout");
+    let mut buf = [0u8; 8];
+    let closed = match stream.read(&mut buf) {
+        Ok(n) => n == 0,
+        Err(e) => e.kind() == std::io::ErrorKind::ConnectionReset,
+    };
+    assert!(
+        closed,
+        "a connection without the hello must be torn unanswered"
     );
-    for (req, oracle) in reqs.iter().zip(&serial).take(3) {
-        assert_bit_identical(&fb.rank(req).expect("fallback rank"), oracle);
-    }
-    // Still sticky after the answers: no re-negotiation attempts.
-    assert_eq!(fb.protocol(), Protocol::Json);
-}
+    assert_eq!(torn.get() - before, 1, "the tear must be counted once");
 
-// ---------------------------------------------------------------------------
-// 3. Cross-protocol equivalence, backends, shards, pipelining
-// ---------------------------------------------------------------------------
-
-/// The differential contract: the same requests served over JSON and over
-/// binary are bit-identical to each other and to the serial oracle.
-#[test]
-fn binary_and_json_answers_are_bit_identical() {
-    let bundle = fixture_bundle();
-    let reqs = requests(&bundle);
-    let serial: Vec<RankResponse> = reqs.iter().map(|r| serial_answer(&bundle, r)).collect();
-
-    let server = Server::start(bundle, ServeConfig::default());
-    let tcp = TcpServer::start(server.handle(), "127.0.0.1:0").expect("bind");
-    let mut json = TcpRankClient::connect(tcp.local_addr()).expect("json");
-    let mut bin = TcpRankClient::connect_binary(tcp.local_addr()).expect("binary");
-    assert_eq!(bin.protocol(), Protocol::Binary);
-
-    for (req, oracle) in reqs.iter().zip(&serial) {
-        let a = json.rank(req).expect("json rank");
-        let b = bin.rank(req).expect("binary rank");
-        assert_bit_identical(&a, oracle);
-        assert_bit_identical(&b, oracle);
-        assert_eq!(
-            a.scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
-            b.scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
-            "protocols disagree on score bits"
-        );
-    }
+    let mut client = TcpRankClient::connect(tcp.local_addr()).expect("fresh connection");
+    assert_bit_identical(&client.rank(&reqs[0]).expect("still serving"), &serial);
     tcp.stop();
     server.shutdown();
 }
+
+/// A request whose frame would exceed `MAX_FRAME` fails typed on the
+/// client, and not one byte of it reaches the socket: the stub server
+/// acks the hello and then sees only the client's hang-up.
+#[test]
+fn client_refuses_oversized_frame_before_writing() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind stub");
+    let addr = listener.local_addr().expect("addr");
+    let stub = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("accept");
+        let mut hello = [0u8; proto::HELLO_LEN];
+        stream.read_exact(&mut hello).expect("hello");
+        assert_eq!(proto::decode_hello(&hello), Ok(proto::BINARY_VERSION));
+        stream
+            .write_all(&proto::encode_hello(proto::BINARY_VERSION))
+            .expect("ack");
+        // Read until the client hangs up; the timeout turns a client that
+        // wrote the frame and now waits for a reply into a failure, not a
+        // hang.
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("timeout");
+        let mut rest = Vec::new();
+        let _ = stream.read_to_end(&mut rest);
+        rest.len()
+    });
+
+    let mut client = TcpRankClient::connect(addr).expect("connect");
+    let huge = RankRequest {
+        query_sql: "x".repeat(proto::MAX_FRAME as usize + 1),
+        tuple: OutputTuple {
+            values: Vec::new(),
+            derivations: Vec::new(),
+        },
+        lineage: vec![FactId(0)],
+        deadline: None,
+        slo: None,
+    };
+    match client.rank(&huge) {
+        Err(ServeError::BadRequest(msg)) => assert!(msg.contains("exceeds cap"), "{msg}"),
+        other => panic!("expected a typed BadRequest, got {other:?}"),
+    }
+    drop(client);
+    assert_eq!(stub.join().expect("stub"), 0, "nothing may hit the wire");
+}
+
+// ---------------------------------------------------------------------------
+// 3. Bit-identity over the wire: backends, shards, pipelining
+// ---------------------------------------------------------------------------
 
 /// The poll(2) backend with two shards serves the same answers — the
 /// fallback path gets real coverage, not just the platform default.
@@ -367,13 +341,7 @@ fn poll_backend_two_shards_round_trip() {
 
     // Several clients so both shards see connections (round-robin accept).
     let mut clients: Vec<TcpRankClient> = (0..4)
-        .map(|i| {
-            if i % 2 == 0 {
-                TcpRankClient::connect_binary(addr).expect("client")
-            } else {
-                TcpRankClient::connect(addr).expect("client")
-            }
-        })
+        .map(|_| TcpRankClient::connect(addr).expect("client"))
         .collect();
     for (i, (req, oracle)) in reqs.iter().zip(&serial).enumerate() {
         let client = &mut clients[i % 4];
@@ -397,12 +365,7 @@ fn pipelined_binary_requests_never_mix() {
     let tcp = TcpServer::start(server.handle(), "127.0.0.1:0").expect("bind");
 
     let mut stream = TcpStream::connect(tcp.local_addr()).expect("connect");
-    stream
-        .write_all(&proto::encode_hello(proto::BINARY_VERSION))
-        .expect("hello");
-    let mut ack = [0u8; proto::HELLO_LEN];
-    stream.read_exact(&mut ack).expect("hello ack");
-    assert_eq!(proto::decode_hello(&ack), Ok(proto::BINARY_VERSION));
+    proto::negotiate(&mut stream).expect("hello");
 
     // Burst: ids 10..10+n, two rounds through the request set, all written
     // before any response is read.
@@ -442,11 +405,7 @@ fn binary_garbage_frame_gets_typed_reply_connection_survives() {
     let tcp = TcpServer::start(server.handle(), "127.0.0.1:0").expect("bind");
 
     let mut stream = TcpStream::connect(tcp.local_addr()).expect("connect");
-    stream
-        .write_all(&proto::encode_hello(proto::BINARY_VERSION))
-        .expect("hello");
-    let mut ack = [0u8; proto::HELLO_LEN];
-    stream.read_exact(&mut ack).expect("hello ack");
+    proto::negotiate(&mut stream).expect("hello");
 
     // A correctly length-prefixed frame whose payload is junk.
     let junk = [0xEEu8; 13];
@@ -462,7 +421,7 @@ fn binary_garbage_frame_gets_typed_reply_connection_survives() {
     let (id, result) = proto::decode_binary_response(&payload).expect("typed reply");
     assert_eq!(id, 0, "garbage frames are answered under the sentinel id");
     assert!(
-        matches!(result, Err(ls_serve::ServeError::BadRequest(_))),
+        matches!(result, Err(ServeError::BadRequest(_))),
         "expected BadRequest, got {result:?}"
     );
 
