@@ -4,6 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ls_bench::Scale;
+use ls_circuit::{shapley_stratified, CanonicalShape};
 use ls_dbshap::Split;
 use ls_provenance::{compile, CompileOptions, Dnf, VarOrder};
 use ls_shapley::{cnf_proxy_scores, shapley_values, shapley_values_sampled};
@@ -43,6 +44,13 @@ fn bench_methods(c: &mut Criterion) {
         });
         g.bench_with_input(BenchmarkId::new("sampled_500", bucket), prov, |b, p| {
             b.iter(|| black_box(shapley_values_sampled(p, 500, 7)))
+        });
+        // The sampled tier's estimator at its one-batch floor, on a shape
+        // built beforehand as the tier builds it for the store probe (three
+        // strata stand in for source relations).
+        let shape = CanonicalShape::of(prov);
+        g.bench_with_input(BenchmarkId::new("stratified_64", bucket), &shape, |b, s| {
+            b.iter(|| black_box(shapley_stratified(s, |f| u64::from(f.0 % 3), 64, 7)))
         });
         g.bench_with_input(BenchmarkId::new("cnf_proxy", bucket), prov, |b, p| {
             b.iter(|| black_box(cnf_proxy_scores(p)))

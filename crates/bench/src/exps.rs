@@ -1372,7 +1372,7 @@ pub fn circuit_store_cycle(scale: &Scale, dir: &std::path::Path) -> TextTable {
 /// which tier each latency budget selects (cold store, model assumed
 /// loaded) and what that tier actually costs and loses in accuracy.
 pub fn circuit_tier_sweep() -> TextTable {
-    use ls_circuit::{shapley_stratified, CacheState, SloPolicy, Tier};
+    use ls_circuit::{shapley_stratified, CacheState, CanonicalShape, SloPolicy, Tier};
     use ls_relational::evaluate_interned;
     use std::time::Instant;
 
@@ -1431,7 +1431,7 @@ pub fn circuit_tier_sweep() -> TextTable {
                 Tier::Sampled => {
                     let t0 = Instant::now();
                     let est = shapley_stratified(
-                        dnf,
+                        &CanonicalShape::of(dnf),
                         |f| db.fact_table_idx(f).map_or(u64::MAX, |t| t as u64),
                         d.samples,
                         7,
@@ -1471,7 +1471,7 @@ pub fn circuit_tier_sweep() -> TextTable {
 /// sampling spends its permutations evenly across per-relation orderings,
 /// so its estimator variance must not exceed the plain sampler's.
 pub fn circuit_sampler_variance() -> TextTable {
-    use ls_circuit::shapley_stratified;
+    use ls_circuit::{shapley_stratified, CanonicalShape};
     use ls_relational::evaluate_interned;
 
     let (db, queries) = wide_join_workload();
@@ -1483,6 +1483,7 @@ pub fn circuit_sampler_variance() -> TextTable {
         .max_by_key(|d| d.variables().len())
         .expect("workload produced tuples");
     let exact = shapley_values(&dnf);
+    let shape = CanonicalShape::of(&dnf);
     let seeds: Vec<u64> = (0..16).map(|i| 1000 + i * 37).collect();
 
     let mse = |scores: &dyn Fn(u64) -> FactScores| {
@@ -1506,7 +1507,7 @@ pub fn circuit_sampler_variance() -> TextTable {
         let plain = mse(&|s| shapley_values_sampled(&dnf, samples, s));
         let strat = mse(&|s| {
             shapley_stratified(
-                &dnf,
+                &shape,
                 |f| db.fact_table_idx(f).map_or(u64::MAX, |t| t as u64),
                 samples,
                 s,

@@ -12,7 +12,9 @@
 //!   turning warm hits into pure lookups.
 //! * **[`shapley_stratified`]** — a seed-deterministic, `LS_THREADS`-
 //!   invariant relation-stratified permutation sampler returning anytime
-//!   estimates with CLT confidence intervals.
+//!   estimates with CLT confidence intervals. It and the plain sampler in
+//!   `ls-shapley` find each permutation's pivotal fact with
+//!   [`pivot_position`], one pass over the canonical clause table.
 //! * **[`SloPolicy`]** — the accuracy–latency selector over the three-tier
 //!   answer path (exact circuit / learned model / stratified sampling),
 //!   recorded per served response.
@@ -29,7 +31,7 @@ pub mod store;
 pub mod tier;
 
 pub use format::{EntryData, StoreError};
-pub use sampler::{shapley_stratified, SampleEstimate, BATCH};
+pub use sampler::{pivot_position, shapley_stratified, SampleEstimate, BATCH};
 pub use shape::{CanonicalShape, ShapeKey};
 pub use store::{CircuitEntry, CircuitStore, StoreStats};
 pub use tier::{CacheState, SloPolicy, Tier, TierDecision};

@@ -16,6 +16,16 @@
 //! which keeps served responses reproducible and testable. Constants are
 //! public fields calibrated against the wide-join workload (see
 //! EXPERIMENTS.md); they encode cost *ordering*, not microsecond truth.
+//!
+//! The sampled constants now overestimate. They were fitted to a sampler
+//! that re-evaluated the DNF after every arrival in a permutation; the flip
+//! rule ([`crate::pivot_position`]) finds the same pivotal fact in one pass,
+//! and on the wide-join tuples a sampled answer now runs about an order of
+//! magnitude under its estimate (EXPERIMENTS.md). The constants stay as
+//! they are on purpose: they set the sample counts, and so the bits of
+//! every sampled answer, and the benchmark picks its tier bands with
+//! `SloPolicy::default()`. Refitting them changes answers and is a change
+//! of its own.
 
 use std::time::Duration;
 

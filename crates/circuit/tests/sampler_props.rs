@@ -6,7 +6,7 @@
 //! subsets) — ls-shapley can't be a dev-dependency without a cycle, and
 //! an independent oracle is the stronger check anyway.
 
-use ls_circuit::shapley_stratified;
+use ls_circuit::{shapley_stratified, CanonicalShape};
 use ls_provenance::Dnf;
 use ls_relational::{FactId, Monomial};
 use proptest::prelude::*;
@@ -73,7 +73,7 @@ proptest! {
         prop_assume!(!players.is_empty());
         let exact = exact_shapley(&dnf, &players);
         // Two strata (even/odd fact id) stand in for source relations.
-        let est = shapley_stratified(&dnf, |f| (f.0 % 2) as u64, 1024, seed);
+        let est = shapley_stratified(&CanonicalShape::of(&dnf), |f| (f.0 % 2) as u64, 1024, seed);
         for (i, &f) in players.iter().enumerate() {
             let err = (est.scores[&f] - exact[i]).abs();
             let bound = 3.0 * est.ci95[&f] + 1e-9;
@@ -90,7 +90,7 @@ proptest! {
     #[test]
     fn key_set_matches_players(dnf in small_dnf(), samples in (0usize..3).prop_map(|i| [0usize, 64, 256][i])) {
         let players = dnf.variables();
-        let est = shapley_stratified(&dnf, |f| (f.0 % 2) as u64, samples, 11);
+        let est = shapley_stratified(&CanonicalShape::of(&dnf), |f| (f.0 % 2) as u64, samples, 11);
         let keys: Vec<FactId> = est.scores.keys().copied().collect();
         prop_assert_eq!(keys, players);
     }

@@ -656,22 +656,24 @@ impl ServeHandle {
         }
         let start = Instant::now();
         let dnf = Dnf::from_monomials(req.tuple.derivations.clone());
-        let players = dnf.variables();
-        if players.is_empty() {
+        let shape = CanonicalShape::of(&dnf);
+        if shape.players.is_empty() {
             return Ok(None);
         }
-        let shape = CanonicalShape::of(&dnf);
         let (circuit_cached, scores_cached) = store.probe(&shape);
         let cache = CacheState {
             circuit_cached,
             scores_cached,
-            model_available: true,
+            // Unless the breaker is closed, learned answers go to the
+            // fallback, so the policy must choose between exact and sampled.
+            model_available: self.shared.breaker.state() == ls_fault::BreakerState::Closed,
         };
-        let decision = self
-            .shared
-            .cfg
-            .slo_policy
-            .choose(players.len(), dnf.len(), budget, cache);
+        let decision = self.shared.cfg.slo_policy.choose(
+            shape.n_players(),
+            shape.clauses.len(),
+            budget,
+            cache,
+        );
         let fact_scores = match decision.tier {
             Tier::Learned => {
                 ls_obs::counter("serve.tier.learned").incr();
@@ -689,7 +691,7 @@ impl ServeHandle {
                 // identically, so tiered responses stay reproducible.
                 let seed = shape.key.0 ^ shape.key.1;
                 shapley_stratified(
-                    &dnf,
+                    &shape,
                     |f| db.fact_table_idx(f).map_or(u64::MAX, |t| t as u64),
                     decision.samples,
                     seed,

@@ -761,6 +761,56 @@ fn chain_request(slo: Option<Duration>) -> RankRequest {
     }
 }
 
+/// Tier choice consults the circuit breaker. With the model path tripped, a
+/// 1 ms budget on the wide join (exact does not fit, learned would) must
+/// not pick the learned tier and ride the pipeline into the fallback: it
+/// samples, and the answer is neither degraded nor untagged.
+#[test]
+fn open_breaker_steers_tier_choice_away_from_learned() {
+    let dir = std::env::temp_dir().join(format!(
+        "ls-chaos-breaker-tier-{}-{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = Arc::new(ls_circuit::CircuitStore::open(&dir, 16).expect("store"));
+    let spec = FaultSpec::new().rule(FaultRule::at("serve.worker.score", FaultKind::Error, &[0]));
+    let server = Server::start_full(
+        wide_bundle(),
+        ServeConfig {
+            workers: 1,
+            cache_capacity: 0,
+            breaker_failures: 1,
+            breaker_cooldown: Duration::from_secs(60),
+            ..Default::default()
+        },
+        Arc::new(FaultPlan::compile(13, &spec)),
+        Some(Arc::new(UniformFallback)),
+        Some(store),
+    );
+    let handle = server.handle();
+
+    // Breaker closed: the request takes the learned tier, whose first
+    // scoring fails and trips the breaker.
+    let req = wide_request(Some(MEDIUM));
+    assert!(matches!(
+        handle.rank(req.clone()),
+        Err(ServeError::Internal(_))
+    ));
+    assert_eq!(server.breaker_state(), BreakerState::Open);
+
+    let resp = handle.rank(req).expect("answered");
+    assert_eq!(
+        resp.tier,
+        Some(Tier::Sampled),
+        "open breaker must skip learned"
+    );
+    assert!(!resp.degraded, "a sampled answer is not a fallback answer");
+
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A fixed request schedule covering all three tiers, run twice against the
 /// same store directory: phase 1 cold (compiles + persists), phase 2 on a
 /// fresh store instance (the exact tier *loads* from disk — the injection

@@ -6,6 +6,12 @@
 //! fallback when exact computation is too expensive, and one of the ablation
 //! baselines benchmarked against the circuit method.
 //!
+//! For a monotone DNF exactly one fact per permutation has marginal 1: the
+//! pivotal fact, whose arrival first makes the query true. It is found by
+//! the flip rule shared with the stratified sampler
+//! ([`ls_circuit::pivot_position`]): one pass over the canonical clause
+//! table, with arrival positions read off the permutation.
+//!
 //! Randomness comes from the workspace-shared counter-mode SplitMix64
 //! ([`ls_fault::draw`]) — the same generator behind fault planning and the
 //! stratified sampler in `ls-circuit`. Permutation `s` is a pure function of
@@ -14,9 +20,9 @@
 //! chunk order, making the estimate bit-identical at every `LS_THREADS`.
 
 use crate::exact::FactScores;
+use ls_circuit::{pivot_position, CanonicalShape};
 use ls_fault::draw;
 use ls_provenance::Dnf;
-use ls_relational::FactId;
 
 /// Stream id separating permutation draws from other SplitMix64 consumers.
 const PERM_STREAM: u64 = 0x0073_6861_706c_6579; // "shapley"
@@ -31,13 +37,21 @@ const CHUNK: usize = 64;
 /// the same key set as [`crate::shapley_values`] (every lineage fact, no
 /// others), and every f64 is reproduced bit-for-bit at any thread count.
 pub fn shapley_values_sampled(provenance: &Dnf, samples: usize, seed: u64) -> FactScores {
-    let players = provenance.variables();
+    estimate(provenance, samples, seed).0
+}
+
+/// [`shapley_values_sampled`] plus the number of coalitions a prefix walk
+/// would evaluate: `t* + 1` per permutation whose pivotal fact arrives at
+/// position `t*` (reported as `shapley.sampled.coalitions`).
+fn estimate(provenance: &Dnf, samples: usize, seed: u64) -> (FactScores, u64) {
+    let shape = CanonicalShape::of(provenance);
+    let players = &shape.players;
     let mut out = FactScores::new();
     if players.is_empty() || samples == 0 {
-        for f in players {
+        for &f in players {
             out.insert(f, 0.0);
         }
-        return out;
+        return (out, 0);
     }
     let mut sp = ls_obs::span("shapley.sampled")
         .with("players", players.len())
@@ -55,8 +69,64 @@ pub fn shapley_values_sampled(provenance: &Dnf, samples: usize, seed: u64) -> Fa
         let mut counts = vec![0u64; n];
         let mut coalitions = 0u64;
         let mut perm: Vec<usize> = (0..n).collect();
-        let mut prefix: Vec<FactId> = Vec::with_capacity(n);
+        let mut arrival = vec![0u32; n];
         for s in lo..hi {
+            for (i, p) in perm.iter_mut().enumerate() {
+                *p = i;
+            }
+            for i in (1..n).rev() {
+                let r = draw(seed, PERM_STREAM, (s * n + i) as u64);
+                perm.swap(i, (r % (i as u64 + 1)) as usize);
+            }
+            for (t, &p) in perm.iter().enumerate() {
+                arrival[p] = t as u32;
+            }
+            let t = pivot_position(&shape.clauses, &arrival);
+            counts[perm[t]] += 1;
+            coalitions += t as u64 + 1;
+        }
+        (counts, coalitions)
+    });
+    let mut totals = vec![0u64; n];
+    let mut coalitions = 0u64;
+    for (counts, walked) in tallies {
+        for (t, c) in totals.iter_mut().zip(counts) {
+            *t += c;
+        }
+        coalitions += walked;
+    }
+    for (i, &f) in players.iter().enumerate() {
+        out.insert(f, totals[i] as f64 / samples as f64);
+    }
+    sp.record("coalitions", coalitions);
+    if ls_obs::enabled() {
+        ls_obs::meter("shapley.sampled.coalitions").mark(coalitions);
+        ls_obs::counter("shapley.sampled.permutations").add(samples as u64);
+    }
+    (out, coalitions)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::exact::shapley_values;
+    use ls_relational::{FactId, Monomial};
+    use proptest::prelude::*;
+
+    /// The prefix walk the flip rule replaced, kept as the oracle: insert
+    /// each permutation's facts into a sorted prefix and re-evaluate the
+    /// DNF after every insertion, counting the coalitions evaluated.
+    fn walk_sampled(provenance: &Dnf, samples: usize, seed: u64) -> (FactScores, u64) {
+        let players = provenance.variables();
+        let n = players.len();
+        if n == 0 || samples == 0 {
+            return (players.into_iter().map(|f| (f, 0.0)).collect(), 0);
+        }
+        let mut counts = vec![0u64; n];
+        let mut coalitions = 0u64;
+        let mut perm: Vec<usize> = (0..n).collect();
+        let mut prefix: Vec<FactId> = Vec::with_capacity(n);
+        for s in 0..samples {
             for (i, p) in perm.iter_mut().enumerate() {
                 *p = i;
             }
@@ -77,37 +147,63 @@ pub fn shapley_values_sampled(provenance: &Dnf, samples: usize, seed: u64) -> Fa
                 }
                 prev_sat = now_sat;
                 if prev_sat {
-                    // Monotone: once satisfied, later players contribute 0.
                     break;
                 }
             }
         }
-        (counts, coalitions)
-    });
-    let mut totals = vec![0u64; n];
-    let mut coalitions = 0u64;
-    for (counts, walked) in tallies {
-        for (t, c) in totals.iter_mut().zip(counts) {
-            *t += c;
-        }
-        coalitions += walked;
+        let scores = players
+            .iter()
+            .zip(&counts)
+            .map(|(&f, &c)| (f, c as f64 / samples as f64))
+            .collect();
+        (scores, coalitions)
     }
-    for (i, &f) in players.iter().enumerate() {
-        out.insert(f, totals[i] as f64 / samples as f64);
-    }
-    sp.record("coalitions", coalitions);
-    if ls_obs::enabled() {
-        ls_obs::meter("shapley.sampled.coalitions").mark(coalitions);
-        ls_obs::counter("shapley.sampled.permutations").add(samples as u64);
-    }
-    out
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::exact::shapley_values;
-    use ls_relational::Monomial;
+    /// Random monotone DNFs: 1–10 clauses over a 1–16 fact universe (sparse
+    /// fact ids, so the canonical renaming is not the identity), plus the
+    /// single-fact and single-clause edge cases.
+    fn monotone_dnf() -> impl Strategy<Value = Dnf> {
+        let fact = |v: u32| FactId(3 + 5 * v);
+        let general = (1u32..=16)
+            .prop_flat_map(|universe| {
+                proptest::collection::vec(proptest::collection::vec(0..universe, 1..=4), 1..=10)
+            })
+            .prop_map(move |clauses| {
+                Dnf::from_monomials(
+                    clauses
+                        .into_iter()
+                        .map(|c| Monomial::from_facts(c.into_iter().map(fact).collect()))
+                        .collect(),
+                )
+            });
+        let single_fact = (0u32..16)
+            .prop_map(move |v| Dnf::from_monomials(vec![Monomial::from_facts(vec![fact(v)])]));
+        let single_clause = proptest::collection::vec(0u32..16, 1..=16).prop_map(move |c| {
+            Dnf::from_monomials(vec![Monomial::from_facts(
+                c.into_iter().map(fact).collect(),
+            )])
+        });
+        prop_oneof![general, single_fact, single_clause]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The flip rule credits the fact the prefix walk credits and
+        /// counts the coalitions it evaluates, across partial chunks.
+        #[test]
+        fn flip_rule_matches_the_prefix_walk(
+            dnf in monotone_dnf(),
+            seed in 0u64..1 << 32,
+            samples in prop_oneof![Just(1usize), Just(63), Just(64), Just(500)],
+        ) {
+            let (got, got_walked) = estimate(&dnf, samples, seed);
+            let (want, want_walked) = walk_sampled(&dnf, samples, seed);
+            let bits = |m: &FactScores| m.iter().map(|(&f, v)| (f, v.to_bits())).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&got), bits(&want));
+            prop_assert_eq!(got_walked, want_walked);
+        }
+    }
 
     fn dnf(monos: &[&[u32]]) -> Dnf {
         Dnf::from_monomials(
