@@ -1,10 +1,11 @@
 //! Criterion benches for the relational substrate: SQL parsing,
 //! provenance-tracking evaluation across join widths, and neural forward /
-//! backward passes — the fixed costs every experiment pays.
+//! backward passes (training and serving) — the fixed costs every
+//! experiment pays.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ls_dbshap::{generate_imdb, ImdbConfig};
-use ls_nn::{EncoderConfig, Tensor, TransformerEncoder};
+use ls_nn::{EncoderConfig, InferScratch, Tensor, TransformerEncoder};
 use ls_relational::{evaluate, parse_query};
 use std::hint::black_box;
 
@@ -54,6 +55,11 @@ fn bench_encoder(c: &mut Criterion) {
         let segs: Vec<u8> = (0..48).map(|i| u8::from(i >= 24)).collect();
         g.bench_function(BenchmarkId::new("forward", label), |b| {
             b.iter(|| black_box(enc.forward(&tokens, &segs)))
+        });
+        // The serving pass: read-only, [CLS] row only through the last block.
+        let mut scratch = InferScratch::new();
+        g.bench_function(BenchmarkId::new("forward_infer", label), |b| {
+            b.iter(|| black_box(enc.forward_infer(&tokens, &segs, &mut scratch)))
         });
         g.bench_function(BenchmarkId::new("forward_backward", label), |b| {
             b.iter(|| {

@@ -8,8 +8,8 @@
 //! can be `Arc`-shared across worker threads), the query- and tuple-side
 //! work (SQL tokenization, word splits, tuple rendering) is hoisted into a
 //! per-request [`ScoreContext`] computed once instead of once per fact, and
-//! a [`LineageScorer`] owns the per-thread forward-pass scratch so facts
-//! from many requests can be scored back-to-back without reallocation.
+//! a [`LineageScorer`] owns the forward-pass scratch so the facts it scores
+//! back-to-back reuse one embedding buffer.
 //! `ls-serve` drives exactly these types from its worker pool; the serial
 //! [`predict_scores`] below is the same code path, which is what makes the
 //! serving layer's bit-identical differential guarantee hold.
@@ -51,7 +51,7 @@ impl ScoreContext {
 /// A reusable per-thread fact scorer: borrows the (read-only) model,
 /// tokenizer and database, owns the mutable forward-pass scratch.
 ///
-/// Serving workers hold one of these for their whole lifetime; the serial
+/// Serving workers build one per chunk of work; the serial
 /// [`predict_scores`] constructs one per call. Both therefore perform the
 /// same floating-point work in the same order, and scores are bit-identical
 /// regardless of which thread (or how many threads) computed them.

@@ -100,28 +100,29 @@ impl LearnShapleyModel {
     /// Read-only Shapley-value inference: same arithmetic as
     /// [`LearnShapleyModel::forward_value`] (bit-identical result) but
     /// `&self`, so one model can be `Arc`-shared across serving workers.
-    /// The caller owns the mutable [`InferScratch`]; one per worker thread.
+    /// The encoder computes the `[CLS]` row alone through its last block
+    /// ([`TransformerEncoder::forward_infer`]). The caller owns the mutable
+    /// [`InferScratch`].
     pub fn infer_value(&self, tokens: &[u32], segments: &[u8], scratch: &mut InferScratch) -> f32 {
-        let hidden = self.encoder.forward_infer(tokens, segments, scratch);
-        let cls = scratch.stage_cls(&hidden);
-        self.value_head.forward_infer(cls).data[0]
+        let cls = self.encoder.forward_infer(tokens, segments, scratch);
+        self.value_head.forward_infer(&cls).data[0]
     }
 
     /// Read-only similarity inference: same arithmetic as
     /// [`LearnShapleyModel::forward_sims`] (bit-identical result) but
-    /// `&self`, so dev evaluation can share one model across workers. The
-    /// caller owns the mutable [`InferScratch`]; one per worker thread.
+    /// `&self`, so dev evaluation can share one model across workers. Like
+    /// [`LearnShapleyModel::infer_value`] it reads the `[CLS]` row the
+    /// encoder returns. The caller owns the mutable [`InferScratch`].
     pub fn infer_sims(
         &self,
         tokens: &[u32],
         segments: &[u8],
         scratch: &mut InferScratch,
     ) -> [f32; 3] {
-        let hidden = self.encoder.forward_infer(tokens, segments, scratch);
-        let cls = scratch.stage_cls(&hidden);
+        let cls = self.encoder.forward_infer(tokens, segments, scratch);
         let mut out = [0.0f32; 3];
         for (i, head) in self.sim_heads.iter().enumerate() {
-            out[i] = head.forward_infer(cls).data[0];
+            out[i] = head.forward_infer(&cls).data[0];
         }
         out
     }

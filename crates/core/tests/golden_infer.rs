@@ -6,7 +6,11 @@
 //! hidden state must reproduce the pinned bits exactly. The bits were
 //! captured while GELU and softmax still called libm `tanhf`/`expf`, so the
 //! test pins that `ls_nn::vmath` changed no bit of the model's output, and
-//! that the output no longer depends on which libm the host loads.
+//! that the output no longer depends on which libm the host loads. They
+//! were also captured while inference still carried every row through the
+//! last block: the hidden state now comes from the training `forward` (the
+//! only pass that still produces it), `infer_value` from the `[CLS]`-only
+//! inference path, whose row must equal the hidden state's row 0.
 
 use ls_core::LearnShapleyModel;
 use ls_nn::{EncoderConfig, InferScratch, Visit};
@@ -63,15 +67,22 @@ const GOLDEN: [((u64, usize), (u32, u64)); 4] = [
 #[test]
 fn ls_base_inference_bits_are_pinned() {
     let model = hashed_model();
+    let mut trainer = model.encoder.clone();
     let mut scratch = InferScratch::new();
     let got: Vec<(u32, u64)> = GOLDEN
         .iter()
         .map(|&((s, split), _)| {
             let (tokens, segments) = sequence(s, split);
             let value = model.infer_value(&tokens, &segments, &mut scratch);
-            let hidden = model
+            let cls = model
                 .encoder
                 .forward_infer(&tokens, &segments, &mut scratch);
+            let hidden = trainer.forward(&tokens, &segments);
+            assert_eq!(
+                fnv(&cls.data),
+                fnv(hidden.row(0)),
+                "[CLS] row of sequence {s}"
+            );
             (value.to_bits(), fnv(&hidden.data))
         })
         .collect();

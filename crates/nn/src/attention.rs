@@ -1,5 +1,6 @@
 //! Multi-head self-attention with hand-written backward pass.
 
+use crate::infer::leading_rows;
 use crate::linear::Linear;
 use crate::param::{Param, Visit};
 use crate::tensor::{softmax_rows, softmax_rows_backward, Tensor};
@@ -103,11 +104,19 @@ impl MultiHeadAttention {
         y
     }
 
-    /// Inference forward pass: same arithmetic as
-    /// [`MultiHeadAttention::forward`] but read-only (no q/k/v/attention
-    /// cache). Bit-identical to the training forward.
-    pub fn forward_infer(&self, x: &Tensor) -> Tensor {
-        let q = self.wq.forward_infer(x);
+    /// Inference forward pass over `x` (`n × d_model`) that produces only
+    /// the first `rows` output rows (`rows × d_model`): `rows = n` gives the
+    /// whole sequence, `rows = 1` the `[CLS]` row alone. K and V project
+    /// all `n` rows, since every query attends over the whole sequence; Q,
+    /// the `rows × n` scores, softmax, value mix and `W_O` run on the
+    /// leading `rows` rows only. Read-only (no q/k/v/attention cache), and
+    /// each row is bit-identical to the same row of
+    /// [`MultiHeadAttention::forward`].
+    ///
+    /// # Panics
+    /// Panics if `rows > n`.
+    pub fn forward_infer(&self, x: &Tensor, rows: usize) -> Tensor {
+        let q = self.wq.forward_infer(&leading_rows(x, rows));
         let k = self.wk.forward_infer(x);
         let v = self.wv.forward_infer(x);
         let (concat, _) = self.attend(&q, &k, &v, false);

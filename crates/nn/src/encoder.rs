@@ -3,6 +3,7 @@
 //! builds LearnShapley on, at laptop scale.
 
 use crate::attention::MultiHeadAttention;
+use crate::infer::leading_rows;
 use crate::linear::Linear;
 use crate::norm::LayerNorm;
 use crate::param::{Param, Visit};
@@ -98,11 +99,19 @@ impl EncoderBlock {
         self.norm2.forward(&res2)
     }
 
-    /// Inference forward pass: same arithmetic as [`EncoderBlock::forward`]
-    /// but read-only. Bit-identical to the training forward.
-    pub fn forward_infer(&self, x: &Tensor) -> Tensor {
-        let a = self.attn.forward_infer(x);
-        let mut res1 = x.clone();
+    /// Inference forward pass over `x` (`n × d_model`) that produces only
+    /// the first `rows` output rows: `rows = n` for a block whose output
+    /// feeds another block, `rows = 1` for the last block, whose `[CLS]` row
+    /// is all the heads read. Attention needs every row of `x` for its K
+    /// and V; the residuals, layer norms and feed-forward work per row and
+    /// run on the leading `rows` only. Read-only, and each row is
+    /// bit-identical to the same row of [`EncoderBlock::forward`].
+    ///
+    /// # Panics
+    /// Panics if `rows > n`.
+    pub fn forward_infer(&self, x: &Tensor, rows: usize) -> Tensor {
+        let a = self.attn.forward_infer(x, rows);
+        let mut res1 = leading_rows(x, rows).into_owned();
         res1.add_assign(&a);
         let x1 = self.norm1.forward_infer(&res1);
         let f = self.ffn.forward_infer(&x1);
@@ -301,12 +310,18 @@ impl TransformerEncoder {
         x
     }
 
-    /// Inference-only encode: same arithmetic (and panics) as
-    /// [`TransformerEncoder::forward`], but read-only on the encoder so the
-    /// weights can be `Arc`-shared across worker threads. The mutable
-    /// sequence staging buffer lives in the caller-owned
-    /// [`InferScratch`](crate::InferScratch); results are bit-identical to
-    /// the training forward.
+    /// Inference-only encode of the `[CLS]` state: returns the `1 × d`
+    /// row 0 of the final hidden state, bit-identical to row 0 of
+    /// [`TransformerEncoder::forward`], with the same panics. Read-only on
+    /// the encoder, so the weights can be `Arc`-shared across worker
+    /// threads; the mutable embedding buffer lives in the caller-owned
+    /// [`InferScratch`](crate::InferScratch).
+    ///
+    /// Every block but the last produces all `n` rows; the last produces
+    /// row 0 alone, projecting K and V over the whole sequence (see the
+    /// [`infer`](crate::infer) module). A model with no blocks returns
+    /// embedding row 0. Telemetry matches the training forward: one
+    /// `nn.forward` sample and an `nn.tokens` mark of `n` per call.
     pub fn forward_infer(
         &self,
         tokens: &[u32],
@@ -342,17 +357,18 @@ impl TransformerEncoder {
                 row[c] = te[c] + pe[c] + se[c];
             }
         }
+        let last = self.blocks.len().saturating_sub(1);
         let mut x: Option<Tensor> = None;
-        for b in &self.blocks {
-            let y = b.forward_infer(x.as_ref().unwrap_or(&scratch.seq));
-            x = Some(y);
+        for (i, b) in self.blocks.iter().enumerate() {
+            let rows = if i == last { 1 } else { tokens.len() };
+            x = Some(b.forward_infer(x.as_ref().unwrap_or(&scratch.seq), rows));
         }
-        let out = x.unwrap_or_else(|| scratch.seq.clone());
+        let cls = x.unwrap_or_else(|| leading_rows(&scratch.seq, 1).into_owned());
         if let Some(t0) = t0 {
             ls_obs::histogram("nn.forward").record(t0.elapsed().as_secs_f64());
             ls_obs::meter("nn.tokens").mark(tokens.len() as u64);
         }
-        out
+        cls
     }
 
     /// Backward from a gradient on the full hidden state; accumulates all

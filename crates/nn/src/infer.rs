@@ -1,4 +1,5 @@
-//! Read-only inference support: per-thread scratch buffers.
+//! Read-only inference support: caller-owned scratch buffers and the
+//! `[CLS]`-only last block.
 //!
 //! The training forward passes ([`crate::TransformerEncoder::forward`] and
 //! friends) cache activations *inside* the layers for the hand-written
@@ -11,30 +12,42 @@
 //! * **weights** stay inside the layers and are only read (`&self`), so a
 //!   model can be `Arc`-shared across threads;
 //! * **scratch** — the mutable sequence-level activation buffers — lives in
-//!   an [`InferScratch`] value that each worker thread owns and reuses
-//!   across requests.
+//!   an [`InferScratch`] value that the caller owns and reuses across
+//!   calls.
+//!
+//! Every regression head reads the `[CLS]` state (row 0) alone, so
+//! [`crate::TransformerEncoder::forward_infer`] returns that one row, and
+//! its last block computes nothing else: K and V still project all `n`
+//! rows (row 0 attends over the whole sequence), while Q, the score row,
+//! softmax, value mix, `W_O`, both residuals, both layer norms and the
+//! feed-forward run on row 0 only. Blocks before the last produce all `n`
+//! rows, which the next block's K and V need. At 64 tokens on LS-base that
+//! removes 40% of the forward's flops (DESIGN.md §4l).
 //!
 //! Every `forward_infer` performs *exactly* the same floating-point
-//! operations in the same order as its training counterpart, so inference
-//! results are bit-identical to `forward` — the property the serving
-//! layer's differential tests pin down.
+//! operations in the same order as its training counterpart for each row
+//! it produces: each GEMM output element is one ascending-`p` chain
+//! whatever the row count (see [`crate::kernels`]), and layer norm, GELU,
+//! the residual adds and softmax work per row. So the returned row is
+//! bit-identical to row 0 of `forward` — the property the serving layer's
+//! differential tests pin down.
 
 use crate::tensor::Tensor;
+use std::borrow::Cow;
 
-/// Per-thread mutable workspace for `forward_infer` passes.
+/// Caller-owned mutable workspace for `forward_infer` passes.
 ///
-/// Holds the sequence-level activation buffers that the training path keeps
-/// inside the layers. One scratch per worker thread; reusing it across calls
-/// avoids re-allocating the embedding and `[CLS]` staging tensors on every
-/// request. Layer-internal temporaries (per-head attention slices, the
-/// feed-forward hidden state) are still allocated per call — they are small
-/// and their lifetime is confined to a single layer.
+/// Holds the embedding buffer (`n × d_model`) that the training path
+/// allocates per call; reusing one scratch across calls avoids that
+/// allocation. A scratch may be reused across sequence lengths, and any
+/// number of scratches may drive one shared model. Layer-internal
+/// temporaries (per-head attention slices, block outputs, the feed-forward
+/// hidden state) are still allocated per call — they are small and their
+/// lifetime is confined to a single layer.
 #[derive(Debug, Default, Clone)]
 pub struct InferScratch {
     /// Embedding staging buffer (`n × d_model`), fully overwritten per call.
     pub(crate) seq: Tensor,
-    /// `[CLS]` row staging buffer (`1 × d_model`).
-    pub(crate) cls: Tensor,
 }
 
 impl InferScratch {
@@ -52,14 +65,27 @@ impl InferScratch {
             t.cols = cols;
         }
     }
+}
 
-    /// Copy row 0 of `hidden` into the `[CLS]` staging buffer and return it.
-    /// Heads that regress from the `[CLS]` state use this to avoid a fresh
-    /// `1 × d` allocation per request.
-    pub fn stage_cls(&mut self, hidden: &Tensor) -> &Tensor {
-        Self::reshape(&mut self.cls, 1, hidden.cols);
-        self.cls.row_mut(0).copy_from_slice(hidden.row(0));
-        &self.cls
+/// The first `rows` rows of `x`: borrowed when that is all of `x`, copied
+/// otherwise.
+///
+/// # Panics
+/// Panics if `rows > x.rows`.
+pub(crate) fn leading_rows(x: &Tensor, rows: usize) -> Cow<'_, Tensor> {
+    assert!(
+        rows <= x.rows,
+        "{rows} leading rows of a {}-row tensor",
+        x.rows
+    );
+    if rows == x.rows {
+        Cow::Borrowed(x)
+    } else {
+        Cow::Owned(Tensor::from_vec(
+            rows,
+            x.cols,
+            x.data[..rows * x.cols].to_vec(),
+        ))
     }
 }
 
@@ -80,20 +106,31 @@ mod tests {
         }
     }
 
+    fn bits(row: &[f32]) -> Vec<u32> {
+        row.iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
     fn forward_infer_is_bit_identical_to_forward() {
-        let mut enc = TransformerEncoder::new(cfg());
-        let frozen = enc.clone();
-        let mut scratch = InferScratch::new();
-        for (tokens, segs) in [
-            (vec![1u32, 5, 2, 6, 2], vec![0u8, 0, 0, 1, 1]),
-            (vec![3u32, 3, 3], vec![0u8, 1, 1]),
-            (vec![12u32], vec![0u8]),
-        ] {
-            let trained = enc.forward(&tokens, &segs);
-            let inferred = frozen.forward_infer(&tokens, &segs, &mut scratch);
-            assert_eq!(trained.data, inferred.data, "bit-identical hidden state");
-            assert_eq!((trained.rows, trained.cols), (inferred.rows, inferred.cols));
+        // A model with no blocks returns embedding row 0.
+        for layers in [2, 0] {
+            let mut enc = TransformerEncoder::new(EncoderConfig { layers, ..cfg() });
+            let frozen = enc.clone();
+            let mut scratch = InferScratch::new();
+            for (tokens, segs) in [
+                (vec![1u32, 5, 2, 6, 2], vec![0u8, 0, 0, 1, 1]),
+                (vec![3u32, 3, 3], vec![0u8, 1, 1]),
+                (vec![12u32], vec![0u8]),
+            ] {
+                let trained = enc.forward(&tokens, &segs);
+                let cls = frozen.forward_infer(&tokens, &segs, &mut scratch);
+                assert_eq!((cls.rows, cls.cols), (1, trained.cols), "one [CLS] row");
+                assert_eq!(
+                    bits(cls.row(0)),
+                    bits(trained.row(0)),
+                    "bit-identical [CLS] row, {layers} layers"
+                );
+            }
         }
     }
 
@@ -106,7 +143,8 @@ mod tests {
         let short = enc.forward_infer(&[1, 2], &[0, 1], &mut scratch);
         let long2 = enc.forward_infer(&[1, 2, 3, 4, 5, 6], &[0, 0, 0, 1, 1, 1], &mut scratch);
         assert_eq!(long.data, long2.data);
-        assert_eq!(short.rows, 2);
+        let fresh = enc.forward_infer(&[1, 2], &[0, 1], &mut InferScratch::new());
+        assert_eq!(short.data, fresh.data);
     }
 
     #[test]

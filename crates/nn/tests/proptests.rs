@@ -1,7 +1,8 @@
 //! Property tests for the NN substrate: end-to-end gradient checks of the
-//! full encoder on random shapes and inputs, and checkpoint round-trips.
+//! full encoder on random shapes and inputs, checkpoint round-trips, and
+//! the `[CLS]`-only inference pass against the training forward.
 
-use ls_nn::{EncoderConfig, Snapshot, Tensor, TransformerEncoder, Visit};
+use ls_nn::{EncoderConfig, InferScratch, Snapshot, Tensor, TransformerEncoder, Visit};
 use proptest::prelude::*;
 
 fn config() -> impl Strategy<Value = EncoderConfig> {
@@ -24,6 +25,20 @@ fn config() -> impl Strategy<Value = EncoderConfig> {
 
 fn tokens() -> impl Strategy<Value = (Vec<u32>, Vec<u8>)> {
     proptest::collection::vec((0u32..12, 0u8..2), 1..8).prop_map(|v| v.into_iter().unzip())
+}
+
+/// A config with 0 to 3 blocks and a sequence of 1 to `max_len` tokens.
+fn config_and_sequence() -> impl Strategy<Value = (EncoderConfig, (Vec<u32>, Vec<u8>))> {
+    (config(), 0usize..=3, 1usize..=16).prop_flat_map(|(cfg, layers, max_len)| {
+        let cfg = EncoderConfig {
+            layers,
+            max_len,
+            ..cfg
+        };
+        let seq = proptest::collection::vec((0u32..12, 0u8..2), 1..=max_len)
+            .prop_map(|v| v.into_iter().unzip());
+        (Just(cfg), seq)
+    })
 }
 
 proptest! {
@@ -90,6 +105,23 @@ proptest! {
         let a = enc.forward(&toks, &segs);
         let b = enc.forward(&toks, &segs);
         prop_assert_eq!(a, b);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The inference pass returns row 0 of the training forward's hidden
+    /// state, bit for bit, at any depth (a model with no blocks included)
+    /// and any length up to the positional table.
+    #[test]
+    fn forward_infer_is_row_0_of_forward((cfg, (toks, segs)) in config_and_sequence()) {
+        let mut enc = TransformerEncoder::new(cfg);
+        let hidden = enc.forward(&toks, &segs);
+        let cls = enc.forward_infer(&toks, &segs, &mut InferScratch::new());
+        prop_assert_eq!((cls.rows, cls.cols), (1, cfg.d_model));
+        let bits = |row: &[f32]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(cls.row(0)), bits(hidden.row(0)));
     }
 }
 

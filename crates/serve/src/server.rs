@@ -18,7 +18,7 @@
 //!            ┌─────────────┼─────────────┐
 //!            ▼             ▼             ▼
 //!        worker 0      worker 1   …  worker N−1    (Arc-shared weights,
-//!            │             │             │          per-thread scratch)
+//!            │             │             │          per-chunk scratch)
 //!            └──── last chunk finalizes job ───▶ cache insert, client wakeup
 //! ```
 //!
@@ -29,8 +29,10 @@
 //!
 //! * every fact's score is produced by [`ls_core::LineageScorer::score_fact`]
 //!   — the same code path the serial [`ls_core::predict_scores`] uses — whose
-//!   `forward_infer` passes perform the training forward's float ops in the
-//!   same order;
+//!   `forward_infer` pass computes the `[CLS]` row alone through the last
+//!   encoder block, with the training forward's float ops for that row in
+//!   the same order, so a score does not depend on which worker (or how
+//!   many) computed it;
 //! * each score is written into its *request-order slot*, so completion order
 //!   (which does vary across runs) never influences the output;
 //! * the ranking is assembled from the completed slot vector exactly the way
@@ -75,8 +77,20 @@ pub struct ModelBundle {
 impl ModelBundle {
     /// Load a persisted model snapshot (see `ls_core::persist`) and pair it
     /// with the serving database.
+    ///
+    /// `max_len` must fit both the packing (`[CLS] a [SEP] b [SEP]` needs 5
+    /// tokens) and the model's positional table; otherwise this is an
+    /// `InvalidInput` error, where it would panic a worker on every request
+    /// that packs past the table.
     pub fn load(path: &Path, db: Database, max_len: usize) -> io::Result<Self> {
         let (model, tokenizer) = ls_core::load_model(path)?;
+        let table = model.encoder.config.max_len;
+        if !(5..=table).contains(&max_len) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("serving max_len {max_len} is outside 5..={table}, the model's positions"),
+            ));
+        }
         Ok(ModelBundle {
             model,
             tokenizer,
@@ -230,7 +244,9 @@ impl std::error::Error for ServeError {}
 /// Serving knobs.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Worker threads scoring facts (each owns one `InferScratch`).
+    /// Worker threads scoring facts. Each chunk a worker takes builds a
+    /// fresh `LineageScorer`, with its own `InferScratch`, from the job's
+    /// pinned bundle.
     pub workers: usize,
     /// Maximum in-flight requests (admitted but not yet answered); the
     /// admission bound of the subsystem.
@@ -1285,7 +1301,7 @@ fn worker_loop(shared: &Shared) {
 /// zeroes `remaining` finalizes. `Err` carries an injected scoring fault.
 ///
 /// The scorer is built per chunk from the job's **pinned** bundle (cheap:
-/// [`LineageScorer::new`] only allocates thread-local scratch) rather than
+/// [`LineageScorer::new`] only creates an empty scratch) rather than
 /// held for the worker thread's lifetime — that is what lets a hot-swap
 /// land between chunks of *different* jobs while every chunk of *one* job
 /// scores on one snapshot.

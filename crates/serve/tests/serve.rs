@@ -13,6 +13,7 @@ use ls_serve::{
     ModelBundle, RankRequest, RankResponse, ServeConfig, ServeError, Server, TcpRankClient,
     TcpServer, Tier,
 };
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -47,10 +48,9 @@ fn fixture_db() -> Database {
     db
 }
 
-/// Persist a small model and load it into a serving bundle, exactly like a
-/// deployment would.
-fn fixture_bundle() -> Arc<ModelBundle> {
-    let db = fixture_db();
+/// Persist a small model with a `positions`-entry positional table into a
+/// fresh temp dir; returns the dir and the snapshot path.
+fn save_fixture(positions: usize) -> (PathBuf, PathBuf) {
     let corpus = [
         "SELECT title FROM movies WHERE year > 1990",
         "SELECT name FROM actors WHERE movie = Dune",
@@ -60,7 +60,7 @@ fn fixture_bundle() -> Arc<ModelBundle> {
     let tokenizer = Tokenizer::build(corpus.iter().copied(), 600);
     let mut model = LearnShapleyModel::new(EncoderConfig::small_ablation(
         tokenizer.vocab_size(),
-        MAX_LEN,
+        positions,
     ));
     let dir = std::env::temp_dir().join(format!(
         "ls-serve-test-{}-{:?}",
@@ -70,7 +70,14 @@ fn fixture_bundle() -> Arc<ModelBundle> {
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("model.lsmd");
     save_model(&mut model, &tokenizer, &path).expect("save");
-    let bundle = ModelBundle::load(&path, db, MAX_LEN).expect("load");
+    (dir, path)
+}
+
+/// Persist a small model and load it into a serving bundle, exactly like a
+/// deployment would.
+fn fixture_bundle() -> Arc<ModelBundle> {
+    let (dir, path) = save_fixture(MAX_LEN);
+    let bundle = ModelBundle::load(&path, fixture_db(), MAX_LEN).expect("load");
     let _ = std::fs::remove_dir_all(&dir);
     Arc::new(bundle)
 }
@@ -165,6 +172,32 @@ fn differential_vs_serial_rank_lineage() {
         }
         server.shutdown();
     }
+}
+
+/// A serving `max_len` must fit the model: past its positional table every
+/// request that packs longer would panic a worker, and below 5 tokens the
+/// packing itself cannot fit. Both are load errors; a budget equal to the
+/// table serves, truncating, bit-identically to the serial path.
+#[test]
+fn load_rejects_a_max_len_the_model_cannot_serve() {
+    let (dir, path) = save_fixture(16);
+    for bad in [64, 17, 4, 0] {
+        match ModelBundle::load(&path, fixture_db(), bad) {
+            Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput, "max_len {bad}"),
+            Ok(_) => panic!("max_len {bad} loaded against a 16-position model"),
+        }
+    }
+    let bundle = Arc::new(ModelBundle::load(&path, fixture_db(), 16).expect("in range"));
+    let _ = std::fs::remove_dir_all(&dir);
+    let server = Server::start(bundle.clone(), ServeConfig::default());
+    let handle = server.handle();
+    for req in requests(&bundle) {
+        let served = handle
+            .rank(req.clone())
+            .expect("serves at the table's length");
+        assert_bit_identical(&served, &serial_answer(&bundle, &req));
+    }
+    server.shutdown();
 }
 
 /// With the batcher paused, submissions beyond the queue bound are rejected
