@@ -61,6 +61,13 @@ fn bench_encoder(c: &mut Criterion) {
         g.bench_function(BenchmarkId::new("forward_infer", label), |b| {
             b.iter(|| black_box(enc.forward_infer(&tokens, &segs, &mut scratch)))
         });
+        // The same pass at 64 tokens, the sequence length the benchmark's
+        // `serve-learned` workload scores.
+        let tokens64: Vec<u32> = (0..64).map(|i| (i * 37) % 2000).collect();
+        let segs64: Vec<u8> = (0..64).map(|i| u8::from(i >= 32)).collect();
+        g.bench_function(BenchmarkId::new("forward_infer_64", label), |b| {
+            b.iter(|| black_box(enc.forward_infer(&tokens64, &segs64, &mut scratch)))
+        });
         g.bench_function(BenchmarkId::new("forward_backward", label), |b| {
             b.iter(|| {
                 let h = enc.forward(&tokens, &segs);

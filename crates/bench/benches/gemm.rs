@@ -1,6 +1,8 @@
 //! GEMM kernel sweep: blocked (ls-nn `kernels::gemm`) vs. the seed's naive
-//! loops, over square sizes and the encoder shapes that dominate training,
-//! for all three layouts (NN = A·B, TN = Aᵀ·B, NT = A·Bᵀ) — plus the two
+//! loops, over square sizes and the encoder shapes that dominate training
+//! and serving (the `[CLS]`-row products of the last block included), for
+//! all three layouts (NN = A·B, TN = Aᵀ·B, NT = A·Bᵀ) — plus one attention
+//! layer's head products on strided views as the encoder runs them, the two
 //! element-wise kernels of the same forward pass (GELU over the LS-base
 //! feed-forward activation, softmax over its four heads' attention scores),
 //! each timed as the old per-element libm formula and as the `ls_nn::vmath`
@@ -14,6 +16,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ls_core::{build_pretrain_pairs, pretrain, PretrainObjectives, TrainConfig};
+use ls_nn::kernels::{gemm, Op};
 use ls_nn::{softmax_rows, vmath, Tensor};
 use std::hint::black_box;
 
@@ -43,7 +46,15 @@ fn bench_gemm(c: &mut Criterion) {
         (64, 48, 48), // token mix: x·W
         (64, 48, 96), // FF expand
         (64, 96, 48), // FF contract
-        (64, 12, 64), // attention scores q·kᵀ (per head, via NT)
+        (64, 12, 64), // attention scores q·kᵀ (per head)
+        (64, 64, 12), // attention value mix a·v (per head)
+        // The last block's [CLS]-row products: Q / W_O, FF expand, FF
+        // contract, one head's score row, one head's value mix.
+        (1, 48, 48),
+        (1, 48, 96),
+        (1, 96, 48),
+        (1, 12, 64),
+        (1, 64, 12),
     ];
     for &(n, k, m) in shapes {
         let mut g = c.benchmark_group(format!("gemm_{n}x{k}x{m}"));
@@ -66,6 +77,63 @@ fn bench_gemm(c: &mut Criterion) {
         });
         g.finish();
     }
+}
+
+/// One LS-base attention layer's head products at 64 tokens, as
+/// `MultiHeadAttention` runs them: four heads of width 12 on strided views
+/// (no per-head copies). Scores are the NN product of each head's columns
+/// of Q with the same rows of Kᵀ (transposed once per layer); each value
+/// mix is written straight into the head's columns of the concat.
+fn bench_attention_heads(c: &mut Criterion) {
+    let (n, d, heads) = (64usize, 48usize, 4usize);
+    let dh = d / heads;
+    let q = pseudo(n, d, 7);
+    let kt = pseudo(d, n, 8);
+    let v = pseudo(n, d, 9);
+    let attn = pseudo(n, n, 10);
+    let mut g = c.benchmark_group("attention_heads_4x64");
+    g.sample_size(30);
+    g.bench_function("scores_nn_kt_views", |be| {
+        be.iter(|| {
+            for h in 0..heads {
+                let mut s = Tensor::zeros(n, n);
+                gemm(
+                    Op::NN,
+                    &q.data[h * dh..],
+                    d,
+                    &kt.data[h * dh * n..],
+                    n,
+                    n,
+                    dh,
+                    n,
+                    &mut s.data,
+                    n,
+                );
+                black_box(s);
+            }
+        })
+    });
+    g.bench_function("mix_into_concat_views", |be| {
+        be.iter(|| {
+            let mut concat = Tensor::zeros(n, d);
+            for h in 0..heads {
+                gemm(
+                    Op::NN,
+                    &attn.data,
+                    n,
+                    &v.data[h * dh..],
+                    d,
+                    n,
+                    n,
+                    dh,
+                    &mut concat.data[h * dh..],
+                    d,
+                );
+            }
+            black_box(concat)
+        })
+    });
+    g.finish();
 }
 
 /// GELU as the encoder computed it before `vmath`: one libm `tanhf` per
@@ -205,5 +273,11 @@ fn bench_train_epoch(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_gemm, bench_elementwise, bench_train_epoch);
+criterion_group!(
+    benches,
+    bench_gemm,
+    bench_attention_heads,
+    bench_elementwise,
+    bench_train_epoch
+);
 criterion_main!(benches);

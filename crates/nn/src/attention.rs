@@ -1,6 +1,7 @@
 //! Multi-head self-attention with hand-written backward pass.
 
 use crate::infer::leading_rows;
+use crate::kernels::{gemm, Op};
 use crate::linear::Linear;
 use crate::param::{Param, Visit};
 use crate::tensor::{softmax_rows, softmax_rows_backward, Tensor};
@@ -48,6 +49,17 @@ fn merge_head(dst: &mut Tensor, part: &Tensor, h: usize, dh: usize) {
     }
 }
 
+/// `tᵀ` as a fresh tensor.
+fn transpose(t: &Tensor) -> Tensor {
+    let mut out = Tensor::zeros(t.cols, t.rows);
+    for r in 0..t.rows {
+        for (c, &v) in t.row(r).iter().enumerate() {
+            out.data[c * t.rows + r] = v;
+        }
+    }
+    out
+}
+
 impl MultiHeadAttention {
     /// A fresh attention module.
     ///
@@ -67,25 +79,56 @@ impl MultiHeadAttention {
     }
 
     /// The shared per-head attention body: scaled dot-product scores,
-    /// softmax, value mix, head merge. Returns the concatenated heads and,
+    /// softmax, value mix, head concat. Returns the concatenated heads and,
     /// when `keep_attn`, the per-head softmax matrices for backward. This
     /// is the single arithmetic path behind both
     /// [`MultiHeadAttention::forward`] and
     /// [`MultiHeadAttention::forward_infer`].
+    ///
+    /// Each head works on strided views of `q`, `k` and `v` rather than
+    /// copies: K is transposed once, head h's scores are the NN product of
+    /// Q's columns `[h·dh, (h+1)·dh)` with the same rows of Kᵀ (the pairs
+    /// and order of the NT product of the slices), and its value mix is
+    /// written straight into its columns of the concat, whose +0 starts
+    /// each mix chain as a fresh product's did. The old merge's `+0 + v`
+    /// could only turn a −0 into +0, which no GEMM chain reading the
+    /// concat can tell apart (DESIGN.md §4m).
     fn attend(&self, q: &Tensor, k: &Tensor, v: &Tensor, keep_attn: bool) -> (Tensor, Vec<Tensor>) {
-        let dh = self.d_model / self.heads;
+        let (rows, n, d) = (q.rows, k.rows, self.d_model);
+        let dh = d / self.heads;
         let scale = 1.0 / (dh as f32).sqrt();
-        let mut concat = Tensor::zeros(q.rows, self.d_model);
+        let kt = transpose(k);
+        let mut concat = Tensor::zeros(rows, d);
         let mut attn = Vec::with_capacity(if keep_attn { self.heads } else { 0 });
         for h in 0..self.heads {
-            let qh = slice_head(q, h, dh);
-            let kh = slice_head(k, h, dh);
-            let vh = slice_head(v, h, dh);
-            let mut scores = qh.matmul_t(&kh);
+            let c = h * dh;
+            let mut scores = Tensor::zeros(rows, n);
+            gemm(
+                Op::NN,
+                &q.data[c..],
+                d,
+                &kt.data[c * n..],
+                n,
+                rows,
+                dh,
+                n,
+                &mut scores.data,
+                n,
+            );
             scores.scale(scale);
             softmax_rows(&mut scores);
-            let ch = scores.matmul(&vh);
-            merge_head(&mut concat, &ch, h, dh);
+            gemm(
+                Op::NN,
+                &scores.data,
+                n,
+                &v.data[c..],
+                d,
+                rows,
+                n,
+                dh,
+                &mut concat.data[c..],
+                d,
+            );
             if keep_attn {
                 attn.push(scores);
             }
@@ -172,10 +215,110 @@ impl Visit for MultiHeadAttention {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::SeedableRng;
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(3)
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The attention body on per-head copies: slice each head's Q, K and V
+    /// columns out, NT scores, NN value mix, add the mix into a zeroed
+    /// concat. The oracle the strided `attend` must match bit for bit.
+    fn attend_sliced(
+        attn: &MultiHeadAttention,
+        q: &Tensor,
+        k: &Tensor,
+        v: &Tensor,
+    ) -> (Tensor, Vec<Tensor>) {
+        let dh = attn.d_model / attn.heads;
+        let scale = 1.0 / (dh as f32).sqrt();
+        let mut concat = Tensor::zeros(q.rows, attn.d_model);
+        let mut all = Vec::new();
+        for h in 0..attn.heads {
+            let qh = slice_head(q, h, dh);
+            let kh = slice_head(k, h, dh);
+            let vh = slice_head(v, h, dh);
+            let mut scores = qh.matmul_t(&kh);
+            scores.scale(scale);
+            softmax_rows(&mut scores);
+            let ch = scores.matmul(&vh);
+            merge_head(&mut concat, &ch, h, dh);
+            all.push(scores);
+        }
+        (concat, all)
+    }
+
+    /// The module's output for the leading `rows` rows of `x`, through the
+    /// sliced oracle, with its per-head softmax matrices.
+    fn forward_sliced(attn: &MultiHeadAttention, x: &Tensor, rows: usize) -> (Tensor, Vec<Tensor>) {
+        let q = attn.wq.forward_infer(&leading_rows(x, rows));
+        let k = attn.wk.forward_infer(x);
+        let v = attn.wv.forward_infer(x);
+        let (concat, scores) = attend_sliced(attn, &q, &k, &v);
+        (attn.wo.forward_infer(&concat), scores)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Strided heads against the sliced oracle, by `to_bits`: the
+        /// training forward (every row, and the softmax matrices it keeps
+        /// for backward) and the inference forward for the `[CLS]` row
+        /// alone and for every row.
+        #[test]
+        fn strided_heads_match_sliced_oracle(
+            heads in prop_oneof![Just(1usize), Just(2), Just(4), Just(8)],
+            dh in prop_oneof![Just(4usize), Just(8), Just(12)],
+            n in 1usize..20,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut attn = MultiHeadAttention::new(heads * dh, heads, &mut rng);
+            let x = Tensor::randn(n, heads * dh, 1.0, &mut rng);
+            let (want, want_attn) = forward_sliced(&attn, &x, n);
+            let got = attn.forward(&x);
+            prop_assert_eq!(bits(&got), bits(&want), "training forward");
+            let kept = &attn.cache.as_ref().expect("forward keeps its cache").attn;
+            prop_assert_eq!(kept.len(), heads);
+            for (a, b) in kept.iter().zip(&want_attn) {
+                prop_assert_eq!(bits(a), bits(b), "softmax matrix");
+            }
+            for rows in [1, n] {
+                let (want, _) = forward_sliced(&attn, &x, rows);
+                prop_assert_eq!(bits(&attn.forward_infer(&x, rows)), bits(&want), "{} rows", rows);
+            }
+        }
+    }
+
+    #[test]
+    fn negative_zeros_in_concat_leave_wo_output_bits() {
+        // The strided path writes each head's value mix into the zeroed
+        // concat where the sliced one added it (`+0 + v`, which turns a −0
+        // into +0). `W_O` reads the concat through GEMM chains that start at
+        // +0, so the sign of a zero there cannot reach its output — here
+        // including a row of zeros alone, whose chains never leave ±0.
+        let attn = MultiHeadAttention::new(8, 2, &mut rng());
+        let mut concat = Tensor::randn(5, 8, 1.0, &mut rng());
+        for (i, v) in concat.data.iter_mut().enumerate() {
+            if i % 3 == 0 || i < 8 {
+                *v = 0.0;
+            }
+        }
+        let mut negated = concat.clone();
+        for v in &mut negated.data {
+            if *v == 0.0 {
+                *v = -0.0;
+            }
+        }
+        assert_eq!(
+            bits(&attn.wo.forward_infer(&concat)),
+            bits(&attn.wo.forward_infer(&negated))
+        );
     }
 
     #[test]

@@ -41,9 +41,11 @@ use std::borrow::Cow;
 /// allocates per call; reusing one scratch across calls avoids that
 /// allocation. A scratch may be reused across sequence lengths, and any
 /// number of scratches may drive one shared model. Layer-internal
-/// temporaries (per-head attention slices, block outputs, the feed-forward
-/// hidden state) are still allocated per call — they are small and their
-/// lifetime is confined to a single layer.
+/// temporaries (the Q/K/V projections, the transposed K, each head's score
+/// rows, the head concat, block outputs, the feed-forward hidden state) are
+/// still allocated per call — they are small and their lifetime is confined
+/// to a single layer. The heads themselves copy nothing: they read Q, Kᵀ
+/// and V as strided views and write the concat in place.
 #[derive(Debug, Default, Clone)]
 pub struct InferScratch {
     /// Embedding staging buffer (`n × d_model`), fully overwritten per call.

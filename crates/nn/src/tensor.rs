@@ -88,11 +88,14 @@ impl Tensor {
         crate::kernels::gemm(
             crate::kernels::Op::NN,
             &self.data,
+            k,
             &other.data,
+            m,
             n,
             k,
             m,
             &mut out.data,
+            m,
         );
         out
     }
@@ -107,18 +110,21 @@ impl Tensor {
         crate::kernels::gemm(
             crate::kernels::Op::TN,
             &self.data,
+            n,
             &other.data,
+            m,
             n,
             k,
             m,
             &mut out.data,
+            m,
         );
         out
     }
 
     /// `self · otherᵀ` (`(n×k) · (m×k)ᵀ → n×m`) — the shape used by input
-    /// gradients and attention scores. Blocked (the transpose happens once,
-    /// during panel packing); bit-identical to [`Tensor::matmul_t_naive`].
+    /// gradients. Blocked (the transpose happens once per panel, during
+    /// packing); bit-identical to [`Tensor::matmul_t_naive`].
     pub fn matmul_t(&self, other: &Tensor) -> Tensor {
         assert_eq!(self.cols, other.cols, "matmul_t shape mismatch");
         let (n, k, m) = (self.rows, self.cols, other.rows);
@@ -126,11 +132,14 @@ impl Tensor {
         crate::kernels::gemm(
             crate::kernels::Op::NT,
             &self.data,
+            k,
             &other.data,
+            k,
             n,
             k,
             m,
             &mut out.data,
+            m,
         );
         out
     }

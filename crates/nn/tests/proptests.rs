@@ -1,7 +1,9 @@
 //! Property tests for the NN substrate: end-to-end gradient checks of the
-//! full encoder on random shapes and inputs, checkpoint round-trips, and
-//! the `[CLS]`-only inference pass against the training forward.
+//! full encoder on random shapes and inputs, checkpoint round-trips, the
+//! `[CLS]`-only inference pass against the training forward, and the
+//! blocked GEMM on strided views against the naive oracles.
 
+use ls_nn::kernels::{gemm, Op};
 use ls_nn::{EncoderConfig, InferScratch, Snapshot, Tensor, TransformerEncoder, Visit};
 use proptest::prelude::*;
 
@@ -123,6 +125,97 @@ proptest! {
         let bits = |row: &[f32]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         prop_assert_eq!(bits(cls.row(0)), bits(hidden.row(0)));
     }
+
+    /// `gemm` on padded, offset views of A, B and the output, at 1 and 2
+    /// threads, equals the naive oracle of its layout by `to_bits`, and
+    /// writes no output element outside its view; the `Tensor` methods
+    /// (natural strides) equal it too.
+    #[test]
+    fn gemm_views_match_naive_oracles(
+        (n, k, m) in gemm_shape(),
+        op in prop_oneof![Just(Op::NN), Just(Op::TN), Just(Op::NT)],
+        pads in (0usize..4, 0usize..4, 0usize..4),
+        off in 0usize..5,
+        sparse in any::<bool>(),
+        threads in 1usize..=2,
+        seed in any::<u64>(),
+    ) {
+        let (a, b) = match op {
+            Op::NN => (matrix(n, k, seed, sparse), matrix(k, m, !seed, sparse)),
+            Op::TN => (matrix(k, n, seed, sparse), matrix(k, m, !seed, sparse)),
+            Op::NT => (matrix(n, k, seed, sparse), matrix(m, k, !seed, sparse)),
+        };
+        let (want, dense) = match op {
+            Op::NN => (a.matmul_naive(&b), a.matmul(&b)),
+            Op::TN => (a.t_matmul_naive(&b), a.t_matmul(&b)),
+            Op::NT => (a.matmul_t_naive(&b), a.matmul_t(&b)),
+        };
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&dense.data), bits(&want.data), "natural strides");
+
+        let (pa, pb, pc) = pads;
+        let (av, bv) = (embed(&a, off, pa), embed(&b, off, pb));
+        let ldc = m + pc;
+        let mut out = vec![7.0f32; off + n * ldc];
+        for r in 0..n {
+            out[off + r * ldc..][..m].fill(0.0);
+        }
+        ls_par::with_threads(threads, || {
+            gemm(op, &av[off..], a.cols + pa, &bv[off..], b.cols + pb, n, k, m, &mut out[off..], ldc)
+        });
+        for r in 0..n {
+            prop_assert_eq!(bits(&out[off + r * ldc..][..m]), bits(want.row(r)), "row {}", r);
+        }
+        let outside = out
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| i < off || (i - off) % ldc >= m)
+            .all(|(_, &v)| v == 7.0);
+        prop_assert!(outside, "wrote outside the output view");
+    }
+}
+
+/// `(n, k, m)`: shapes around the tile edges — one output row, n % 8 ≠ 0,
+/// m < 16 and m % 16 ≠ 0, k past one 256-deep block — or products big
+/// enough for the row-parallel split.
+fn gemm_shape() -> impl Strategy<Value = (usize, usize, usize)> {
+    prop_oneof![
+        (
+            prop_oneof![Just(1usize), 2usize..40],
+            prop_oneof![1usize..64, 250usize..300],
+            1usize..40,
+        ),
+        (48usize..64, 257usize..300, 800usize..840),
+    ]
+}
+
+/// A `rows × cols` matrix of mixed-sign values from `seed`; with `sparse`,
+/// about a quarter of its entries are +0.0 or −0.0.
+fn matrix(rows: usize, cols: usize, seed: u64, sparse: bool) -> Tensor {
+    let data = (0..rows * cols)
+        .map(|i| {
+            let mut h = seed ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            h ^= h >> 33;
+            h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+            h ^= h >> 33;
+            match h % 8 {
+                0 | 1 if sparse => [0.0, -0.0][(h % 2) as usize],
+                _ => ((h >> 8) % 4000) as f32 / 1000.0 - 2.0,
+            }
+        })
+        .collect();
+    Tensor::from_vec(rows, cols, data)
+}
+
+/// `t` embedded at element `off` of a NaN-filled buffer with row stride
+/// `t.cols + pad`: a padded, offset view of the same matrix.
+fn embed(t: &Tensor, off: usize, pad: usize) -> Vec<f32> {
+    let ld = t.cols + pad;
+    let mut buf = vec![f32::NAN; off + t.rows * ld];
+    for r in 0..t.rows {
+        buf[off + r * ld..][..t.cols].copy_from_slice(t.row(r));
+    }
+    buf
 }
 
 fn perturb(enc: &mut TransformerEncoder, flat_idx: usize, eps: f32) {
