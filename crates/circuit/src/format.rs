@@ -23,6 +23,7 @@
 //! [`StoreError::ShapeMismatch`] instead of silently answering for the
 //! wrong lineage.
 
+use ls_fault::{Cursor, DecodeError, Put};
 use ls_provenance::{BigNat, Circuit, Node, NodeId};
 use ls_relational::FactId;
 use std::fmt;
@@ -77,6 +78,12 @@ impl From<io::Error> for StoreError {
     }
 }
 
+impl From<DecodeError> for StoreError {
+    fn from(e: DecodeError) -> Self {
+        StoreError::Corrupt(e.to_string())
+    }
+}
+
 /// A decoded store entry: the compiled canonical circuit plus everything
 /// needed to answer without recompiling.
 #[derive(Debug)]
@@ -99,72 +106,70 @@ pub struct EntryData {
 /// Serialize an entry body (unsealed; the store seals + writes atomically).
 pub fn encode(e: &EntryData) -> Vec<u8> {
     let mut w = Vec::with_capacity(64 + 16 * e.circuit.len());
-    w.extend_from_slice(MAGIC);
-    w.extend_from_slice(&VERSION.to_le_bytes());
-    w.extend_from_slice(&e.n_players.to_le_bytes());
-    w.extend_from_slice(&(e.clauses.len() as u32).to_le_bytes());
+    w.put_bytes(MAGIC);
+    w.put_u32(VERSION);
+    w.put_u32(e.n_players);
+    w.put_u32(e.clauses.len() as u32);
     for clause in &e.clauses {
-        w.extend_from_slice(&(clause.len() as u32).to_le_bytes());
-        for &v in clause {
-            w.extend_from_slice(&v.to_le_bytes());
-        }
+        w.put_u32(clause.len() as u32);
+        clause.iter().for_each(|&v| w.put_u32(v));
     }
-    w.extend_from_slice(&e.root.0.to_le_bytes());
+    w.put_u32(e.root.0);
     let nodes = e.circuit.nodes();
-    w.extend_from_slice(&(nodes.len() as u32).to_le_bytes());
+    w.put_u32(nodes.len() as u32);
     for node in nodes {
         match node {
-            Node::True => w.push(0),
-            Node::False => w.push(1),
+            Node::True => w.put_u8(0),
+            Node::False => w.put_u8(1),
             Node::Leaf(v) => {
-                w.push(2);
-                w.extend_from_slice(&v.0.to_le_bytes());
+                w.put_u8(2);
+                w.put_u32(v.0);
             }
             Node::And(ch) => {
-                w.push(3);
-                w.extend_from_slice(&(ch.len() as u32).to_le_bytes());
-                for c in ch {
-                    w.extend_from_slice(&c.0.to_le_bytes());
-                }
+                w.put_u8(3);
+                put_ids(&mut w, ch);
             }
             Node::Decision { var, hi, lo } => {
-                w.push(4);
-                w.extend_from_slice(&var.0.to_le_bytes());
-                w.extend_from_slice(&hi.0.to_le_bytes());
-                w.extend_from_slice(&lo.0.to_le_bytes());
+                w.put_u8(4);
+                w.put_u32(var.0);
+                w.put_u32(hi.0);
+                w.put_u32(lo.0);
             }
             Node::DisjointOr(ch) => {
-                w.push(5);
-                w.extend_from_slice(&(ch.len() as u32).to_le_bytes());
-                for c in ch {
-                    w.extend_from_slice(&c.0.to_le_bytes());
-                }
+                w.put_u8(5);
+                put_ids(&mut w, ch);
             }
         }
     }
     let limbs = e.model_count.limbs();
-    w.extend_from_slice(&(limbs.len() as u32).to_le_bytes());
-    for &l in limbs {
-        w.extend_from_slice(&l.to_le_bytes());
-    }
+    w.put_u32(limbs.len() as u32);
+    limbs.iter().for_each(|&l| w.put_u64(l));
     match &e.scores {
-        None => w.push(0),
+        None => w.put_u8(0),
         Some(s) => {
             debug_assert_eq!(s.len(), e.n_players as usize);
-            w.push(1);
-            for &v in s {
-                w.extend_from_slice(&v.to_bits().to_le_bytes());
-            }
+            w.put_u8(1);
+            s.iter().for_each(|&v| w.put_f64(v));
         }
     }
     w
 }
 
+/// A `u32` count, then each child id.
+fn put_ids(w: &mut Vec<u8>, ids: &[NodeId]) {
+    w.put_u32(ids.len() as u32);
+    ids.iter().for_each(|c| w.put_u32(c.0));
+}
+
+fn get_ids(r: &mut Cursor<'_>) -> Result<Vec<NodeId>, DecodeError> {
+    let len = r.count(4)?;
+    (0..len).map(|_| r.u32().map(NodeId)).collect()
+}
+
 /// Parse an entry body (already unsealed — CRC verified by the caller).
 pub fn decode(body: &[u8]) -> Result<EntryData, StoreError> {
-    let mut r = Reader { buf: body, pos: 0 };
-    let magic = r.bytes(4)?;
-    if magic != MAGIC {
+    let mut r = Cursor::new(body);
+    if r.take(4)? != MAGIC {
         return Err(StoreError::BadMagic);
     }
     let version = r.u32()?;
@@ -172,12 +177,10 @@ pub fn decode(body: &[u8]) -> Result<EntryData, StoreError> {
         return Err(StoreError::VersionMismatch(version));
     }
     let n_players = r.u32()?;
-    let n_clauses = r.u32()? as usize;
-    r.check_count(n_clauses, 4)?;
+    let n_clauses = r.count(4)?;
     let mut clauses = Vec::with_capacity(n_clauses);
     for _ in 0..n_clauses {
-        let len = r.u32()? as usize;
-        r.check_count(len, 4)?;
+        let len = r.count(4)?;
         let mut clause = Vec::with_capacity(len);
         for _ in 0..len {
             let v = r.u32()?;
@@ -191,37 +194,20 @@ pub fn decode(body: &[u8]) -> Result<EntryData, StoreError> {
         clauses.push(clause);
     }
     let root = NodeId(r.u32()?);
-    let n_nodes = r.u32()? as usize;
-    r.check_count(n_nodes, 1)?;
+    let n_nodes = r.count(1)?;
     let mut nodes = Vec::with_capacity(n_nodes);
     for _ in 0..n_nodes {
         let node = match r.u8()? {
             0 => Node::True,
             1 => Node::False,
             2 => Node::Leaf(FactId(r.u32()?)),
-            3 => {
-                let len = r.u32()? as usize;
-                r.check_count(len, 4)?;
-                Node::And(
-                    (0..len)
-                        .map(|_| r.u32().map(NodeId))
-                        .collect::<Result<_, _>>()?,
-                )
-            }
+            3 => Node::And(get_ids(&mut r)?),
             4 => Node::Decision {
                 var: FactId(r.u32()?),
                 hi: NodeId(r.u32()?),
                 lo: NodeId(r.u32()?),
             },
-            5 => {
-                let len = r.u32()? as usize;
-                r.check_count(len, 4)?;
-                Node::DisjointOr(
-                    (0..len)
-                        .map(|_| r.u32().map(NodeId))
-                        .collect::<Result<_, _>>()?,
-                )
-            }
+            5 => Node::DisjointOr(get_ids(&mut r)?),
             t => return Err(StoreError::Corrupt(format!("unknown node tag {t}"))),
         };
         nodes.push(node);
@@ -234,28 +220,18 @@ pub fn decode(body: &[u8]) -> Result<EntryData, StoreError> {
         )));
     }
     let circuit = Circuit::from_nodes(nodes).map_err(StoreError::Corrupt)?;
-    let n_limbs = r.u32()? as usize;
-    r.check_count(n_limbs, 8)?;
+    let n_limbs = r.count(8)?;
     let limbs = (0..n_limbs).map(|_| r.u64()).collect::<Result<_, _>>()?;
     let model_count = BigNat::from_limbs(limbs);
     let scores = match r.u8()? {
         0 => None,
         1 => {
-            r.check_count(n_players as usize, 8)?;
-            Some(
-                (0..n_players)
-                    .map(|_| r.u64().map(f64::from_bits))
-                    .collect::<Result<_, _>>()?,
-            )
+            let mut s = Cursor::new(r.take((n_players as usize).saturating_mul(8))?);
+            Some((0..n_players).map(|_| s.f64()).collect::<Result<_, _>>()?)
         }
         t => return Err(StoreError::Corrupt(format!("bad scores flag {t}"))),
     };
-    if r.pos != body.len() {
-        return Err(StoreError::Corrupt(format!(
-            "{} trailing bytes after entry",
-            body.len() - r.pos
-        )));
-    }
+    r.finish()?;
     Ok(EntryData {
         n_players,
         clauses,
@@ -264,45 +240,6 @@ pub fn decode(body: &[u8]) -> Result<EntryData, StoreError> {
         model_count,
         scores,
     })
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn bytes(&mut self, n: usize) -> Result<&'a [u8], StoreError> {
-        if self.pos + n > self.buf.len() {
-            return Err(StoreError::Corrupt("truncated body".to_owned()));
-        }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
-    fn u8(&mut self) -> Result<u8, StoreError> {
-        Ok(self.bytes(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, StoreError> {
-        Ok(u32::from_le_bytes(self.bytes(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, StoreError> {
-        Ok(u64::from_le_bytes(self.bytes(8)?.try_into().unwrap()))
-    }
-
-    /// Reject declared element counts that cannot fit in the remaining
-    /// bytes — a corrupt length field must not drive a huge allocation.
-    fn check_count(&self, count: usize, elem_size: usize) -> Result<(), StoreError> {
-        if count.saturating_mul(elem_size) > self.buf.len() - self.pos {
-            return Err(StoreError::Corrupt(format!(
-                "declared count {count} exceeds remaining bytes"
-            )));
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]

@@ -11,13 +11,14 @@
 //! uninterrupted run's (pinned by `tests/checkpoint_resume.rs`).
 //!
 //! Files are written through the crash-atomic, CRC32-checksummed
-//! persistence layer ([`crate::persist`]): a crash during a checkpoint save
-//! leaves the previous checkpoint intact, and a corrupted file is rejected
-//! at load instead of silently resuming from garbage.
+//! persistence layer ([`ls_fault::persist`]): a crash during a checkpoint
+//! save leaves the previous checkpoint intact, and a corrupted file is
+//! rejected at load instead of silently resuming from garbage.
 
 use crate::model::LearnShapleyModel;
+use ls_fault::{read_verified, write_sealed, Cursor, Put};
 use ls_nn::{Adam, Snapshot};
-use std::io::{self, Read};
+use std::io;
 use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 4] = b"LSTC";
@@ -94,7 +95,8 @@ pub struct TrainCheckpoint {
     pub model: Snapshot,
     /// Best-so-far weights.
     pub best: Snapshot,
-    /// Serialized Adam state ([`Adam::write_state`] bytes).
+    /// Serialized Adam state: the `LSAD` bytes of [`Adam::write_state`],
+    /// decoded by [`TrainCheckpoint::optimizer`].
     pub opt_state: Vec<u8>,
 }
 
@@ -108,10 +110,10 @@ impl TrainCheckpoint {
         epochs_done: usize,
         samples: usize,
         seed: u64,
-    ) -> io::Result<TrainCheckpoint> {
+    ) -> TrainCheckpoint {
         let mut opt_state = Vec::new();
-        opt.write_state(&mut opt_state)?;
-        Ok(TrainCheckpoint {
+        opt.write_state(&mut opt_state);
+        TrainCheckpoint {
             stage,
             epochs_done,
             samples,
@@ -121,15 +123,15 @@ impl TrainCheckpoint {
             model: Snapshot::capture(model),
             best: best.0.clone(),
             opt_state,
-        })
+        }
     }
 
     /// Atomically persist to `path` with a checksum footer.
     pub fn save(&self, path: &Path) -> io::Result<()> {
         let mut w = Vec::new();
-        w.extend_from_slice(MAGIC);
-        w.extend_from_slice(&VERSION.to_le_bytes());
-        w.push(self.stage.tag());
+        w.put_bytes(MAGIC);
+        w.put_u32(VERSION);
+        w.put_u8(self.stage.tag());
         for v in [
             self.epochs_done as u64,
             self.samples as u64,
@@ -137,61 +139,46 @@ impl TrainCheckpoint {
             self.best_epoch as u64,
             self.seed,
         ] {
-            w.extend_from_slice(&v.to_le_bytes());
+            w.put_u64(v);
         }
-        w.extend_from_slice(&(self.opt_state.len() as u64).to_le_bytes());
-        w.extend_from_slice(&self.opt_state);
-        self.model.write_to(&mut w)?;
-        self.best.write_to(&mut w)?;
-        crate::persist::write_sealed(path, w)
+        w.put_u64(self.opt_state.len() as u64);
+        w.put_bytes(&self.opt_state);
+        self.model.write_to(&mut w);
+        self.best.write_to(&mut w);
+        write_sealed(path, w)
     }
 
     /// Load a checkpoint for `stage` from `path`. Returns `Ok(None)` if the
-    /// file does not exist (fresh start); corruption, truncation, or a
-    /// stage/seed mismatch is an error.
+    /// file does not exist (fresh start); corruption, truncation, trailing
+    /// bytes, or a stage/seed mismatch is an error.
     pub fn load(path: &Path, stage: Stage, seed: u64) -> io::Result<Option<TrainCheckpoint>> {
         if !path.exists() {
             return Ok(None);
         }
-        let body = crate::persist::read_verified(path)?;
+        let body = read_verified(path)?;
         let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
-        let mut r: &[u8] = &body;
-        let mut magic = [0u8; 4];
-        r.read_exact(&mut magic)?;
-        if &magic != MAGIC {
+        let mut r = Cursor::new(&body);
+        if r.take(4)? != MAGIC {
             return Err(bad("bad training-checkpoint magic"));
         }
-        let mut u32buf = [0u8; 4];
-        r.read_exact(&mut u32buf)?;
-        if u32::from_le_bytes(u32buf) != VERSION {
+        if r.u32()? != VERSION {
             return Err(bad("unsupported training-checkpoint version"));
         }
-        let mut tag = [0u8; 1];
-        r.read_exact(&mut tag)?;
-        if tag[0] != stage.tag() {
+        if r.u8()? != stage.tag() {
             return Err(bad("checkpoint belongs to the other training stage"));
         }
-        let mut u64buf = [0u8; 8];
-        let mut read_u64 = |r: &mut &[u8]| -> io::Result<u64> {
-            r.read_exact(&mut u64buf)?;
-            Ok(u64::from_le_bytes(u64buf))
-        };
-        let epochs_done = read_u64(&mut r)? as usize;
-        let samples = read_u64(&mut r)? as usize;
-        let best_metric = f64::from_bits(read_u64(&mut r)?);
-        let best_epoch = read_u64(&mut r)? as usize;
-        let ck_seed = read_u64(&mut r)?;
-        if ck_seed != seed {
+        let epochs_done = r.u64()? as usize;
+        let samples = r.u64()? as usize;
+        let best_metric = f64::from_bits(r.u64()?);
+        let best_epoch = r.u64()? as usize;
+        if r.u64()? != seed {
             return Err(bad("checkpoint was written under a different seed"));
         }
-        let opt_len = read_u64(&mut r)? as usize;
-        if opt_len > r.len() {
-            return Err(bad("optimizer state extends past end of file"));
-        }
-        let opt_state = r[..opt_len].to_vec();
-        r = &r[opt_len..];
+        let opt_len = usize::try_from(r.u64()?).unwrap_or(usize::MAX);
+        let opt_state = r.take(opt_len)?.to_vec();
         let model = Snapshot::read_from(&mut r)?;
         let best = Snapshot::read_from(&mut r)?;
+        r.finish()?;
         Ok(Some(TrainCheckpoint {
             stage,
             epochs_done,
@@ -207,7 +194,29 @@ impl TrainCheckpoint {
 
     /// Deserialize the stored optimizer.
     pub fn optimizer(&self) -> io::Result<Adam> {
-        Adam::read_state(&mut self.opt_state.as_slice())
+        Adam::read_state(&self.opt_state)
+    }
+
+    /// Resume into `model`: check that both snapshots and every Adam
+    /// moment buffer fit its parameter layout, then restore the live
+    /// weights and return the optimizer. A checkpoint written for another
+    /// model is an `InvalidData` error and leaves `model` untouched.
+    pub fn restore(&self, model: &mut LearnShapleyModel) -> io::Result<Adam> {
+        let opt = self.optimizer()?;
+        let cfg = model.encoder.config;
+        let shapes = || LearnShapleyModel::param_shapes(&cfg);
+        let lens = shapes().map(|(rows, cols)| rows * cols);
+        let fits = self.model.shapes().eq(shapes())
+            && self.best.shapes().eq(shapes())
+            && opt.buffer_lens().eq(lens);
+        if !fits {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "checkpoint does not fit the model's parameter layout",
+            ));
+        }
+        self.model.restore(model);
+        Ok(opt)
     }
 }
 
@@ -241,8 +250,7 @@ mod tests {
             3,
             120,
             77,
-        )
-        .unwrap();
+        );
         let path = std::env::temp_dir().join("ls_train_ck_roundtrip.bin");
         ck.save(&path).unwrap();
         let back = TrainCheckpoint::load(&path, Stage::Pretrain, 77)
@@ -273,8 +281,7 @@ mod tests {
         let opt = Adam::new(&mut model, AdamConfig::default());
         let best = Snapshot::capture(&mut model);
         let ck =
-            TrainCheckpoint::capture(Stage::Finetune, &mut model, &opt, (&best, 0.5, 1), 1, 10, 9)
-                .unwrap();
+            TrainCheckpoint::capture(Stage::Finetune, &mut model, &opt, (&best, 0.5, 1), 1, 10, 9);
         let path = std::env::temp_dir().join("ls_train_ck_stage.bin");
         ck.save(&path).unwrap();
         assert!(TrainCheckpoint::load(&path, Stage::Pretrain, 9).is_err());
@@ -291,8 +298,7 @@ mod tests {
         let opt = Adam::new(&mut model, AdamConfig::default());
         let best = Snapshot::capture(&mut model);
         let ck =
-            TrainCheckpoint::capture(Stage::Pretrain, &mut model, &opt, (&best, 0.5, 1), 1, 10, 9)
-                .unwrap();
+            TrainCheckpoint::capture(Stage::Pretrain, &mut model, &opt, (&best, 0.5, 1), 1, 10, 9);
         let path = std::env::temp_dir().join("ls_train_ck_corrupt.bin");
         ck.save(&path).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();

@@ -238,8 +238,7 @@ fn finetune_inner(
     let mut start_epoch = 1usize;
     if let Some(ck) = ckpt {
         if let Some(state) = TrainCheckpoint::load(&ck.path, Stage::Finetune, cfg.seed)? {
-            state.model.restore(model);
-            opt = state.optimizer()?;
+            opt = state.restore(model)?;
             best = (state.best_metric, state.best_epoch, state.best.clone());
             consumed = state.samples;
             start_epoch = state.epochs_done + 1;
@@ -296,7 +295,7 @@ fn finetune_inner(
                     epoch,
                     consumed,
                     cfg.seed,
-                )?
+                )
                 .save(&ck.path)?;
                 ls_obs::counter("core.checkpoint.saved").incr();
             }

@@ -22,12 +22,13 @@ use crate::checkpoint::{Stage, TrainCheckpoint};
 use crate::encoding::render_tuple_and_fact_featured;
 use crate::finetune::SHAPLEY_SCALE;
 use crate::model::LearnShapleyModel;
-use crate::persist::{read_verified, save_model, write_sealed};
+use crate::persist::save_model;
 use crate::pretrain::GRAD_CLIP;
 use crate::tokenizer::Tokenizer;
 use ls_dbshap::{Dataset, FeedbackEvent};
+use ls_fault::{read_verified, write_sealed, Cursor, DecodeError, Put};
 use ls_nn::{Adam, AdamConfig, Snapshot};
-use std::io::{self, Read};
+use std::io;
 use std::path::{Path, PathBuf};
 
 /// One unit of ranking feedback: "for this query and this rendered
@@ -45,58 +46,39 @@ pub struct FeedbackRecord {
     pub target: f32,
 }
 
-fn put_str(w: &mut Vec<u8>, s: &str) {
-    w.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    w.extend_from_slice(s.as_bytes());
-}
-
-fn get_str(r: &mut &[u8]) -> io::Result<String> {
-    let mut len = [0u8; 4];
-    r.read_exact(&mut len)
-        .map_err(|_| bad("feedback record truncated in a string length"))?;
-    let len = u32::from_le_bytes(len) as usize;
-    if r.len() < len {
-        return Err(bad("feedback record string overruns the payload"));
-    }
-    let (s, rest) = r.split_at(len);
-    let s = std::str::from_utf8(s)
-        .map_err(|_| bad("feedback record string is not UTF-8"))?
-        .to_string();
-    *r = rest;
-    Ok(s)
-}
-
-fn bad(msg: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
-}
-
 impl FeedbackRecord {
-    /// Serialize to the WAL payload form (length-prefixed strings + f32 LE).
+    /// Append the WAL payload form to `w`: the two strings, then `target`
+    /// as raw `f32` bits. The `LSBP` feedback request carries exactly
+    /// these bytes after its kind byte and id.
+    pub fn write_to(&self, w: &mut Vec<u8>) {
+        w.put_str(&self.query_sql);
+        w.put_str(&self.tuple_fact);
+        w.put_f32(self.target);
+    }
+
+    /// Read one record from `c`, leaving it just past the record.
+    pub fn read_from(c: &mut Cursor<'_>) -> Result<FeedbackRecord, DecodeError> {
+        Ok(FeedbackRecord {
+            query_sql: c.str()?.to_string(),
+            tuple_fact: c.str()?.to_string(),
+            target: c.f32()?,
+        })
+    }
+
+    /// Serialize to the WAL payload form.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Vec::with_capacity(self.query_sql.len() + self.tuple_fact.len() + 12);
-        put_str(&mut w, &self.query_sql);
-        put_str(&mut w, &self.tuple_fact);
-        w.extend_from_slice(&self.target.to_le_bytes());
+        self.write_to(&mut w);
         w
     }
 
-    /// Parse a WAL payload; every malformed variant is a typed
-    /// `InvalidData` error.
+    /// Parse a WAL payload; every malformed variant, trailing bytes
+    /// included, is a typed `InvalidData` error.
     pub fn decode(bytes: &[u8]) -> io::Result<FeedbackRecord> {
-        let mut r = bytes;
-        let query_sql = get_str(&mut r)?;
-        let tuple_fact = get_str(&mut r)?;
-        let mut t = [0u8; 4];
-        r.read_exact(&mut t)
-            .map_err(|_| bad("feedback record truncated before its target"))?;
-        if !r.is_empty() {
-            return Err(bad("feedback record has trailing bytes"));
-        }
-        Ok(FeedbackRecord {
-            query_sql,
-            tuple_fact,
-            target: f32::from_le_bytes(t),
-        })
+        let mut c = Cursor::new(bytes);
+        let rec = FeedbackRecord::read_from(&mut c)?;
+        c.finish()?;
+        Ok(rec)
     }
 }
 
@@ -258,7 +240,7 @@ impl OnlineTrainer {
             self.steps as usize,
             self.consumed as usize,
             self.cfg.seed,
-        )?
+        )
         .save(path)?;
         ls_obs::counter("core.checkpoint.saved").incr();
         Ok(())
@@ -271,8 +253,7 @@ impl OnlineTrainer {
         match TrainCheckpoint::load(path, Stage::Online, self.cfg.seed)? {
             None => Ok(false),
             Some(state) => {
-                state.model.restore(&mut self.model);
-                self.opt = state.optimizer()?;
+                self.opt = state.restore(&mut self.model)?;
                 self.steps = state.epochs_done as u64;
                 self.consumed = state.samples as u64;
                 self.pending.clear();
@@ -311,8 +292,8 @@ pub fn publish_snapshot(
     let path = dir.join(&name);
     save_model(model, tokenizer, &path)?;
     let mut body = Vec::with_capacity(8 + 4 + name.len());
-    body.extend_from_slice(&generation.to_le_bytes());
-    put_str(&mut body, &name);
+    body.put_u64(generation);
+    body.put_str(&name);
     write_sealed(&dir.join("CURRENT"), body)?;
     ls_obs::counter("core.online.published").incr();
     Ok(path)
@@ -329,15 +310,17 @@ pub fn load_current(dir: &Path) -> io::Result<Option<(u64, PathBuf)>> {
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e),
     };
-    let mut r: &[u8] = &body;
-    let mut g = [0u8; 8];
-    r.read_exact(&mut g)
-        .map_err(|_| bad("CURRENT pointer truncated"))?;
-    let name = get_str(&mut r)?;
+    let mut r = Cursor::new(&body);
+    let generation = r.u64()?;
+    let name = r.str()?;
+    r.finish()?;
     if name.contains(['/', '\\']) || name.contains("..") {
-        return Err(bad("CURRENT pointer names a non-local path"));
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "CURRENT pointer names a non-local path",
+        ));
     }
-    Ok(Some((u64::from_le_bytes(g), dir.join(name))))
+    Ok(Some((generation, dir.join(name))))
 }
 
 /// Replay an entire feedback WAL into a fresh trainer state: ingest every
@@ -440,16 +423,16 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         assert!(load_current(&dir).unwrap().is_none());
         let mut body = Vec::new();
-        body.extend_from_slice(&7u64.to_le_bytes());
-        put_str(&mut body, "snap-0000000000000007.lsmd");
+        body.put_u64(7);
+        body.put_str("snap-0000000000000007.lsmd");
         write_sealed(&dir.join("CURRENT"), body).unwrap();
         let (g, p) = load_current(&dir).unwrap().unwrap();
         assert_eq!(g, 7);
         assert!(p.ends_with("snap-0000000000000007.lsmd"));
         // A pointer escaping the directory is refused.
         let mut evil = Vec::new();
-        evil.extend_from_slice(&8u64.to_le_bytes());
-        put_str(&mut evil, "../evil.lsmd");
+        evil.put_u64(8);
+        evil.put_str("../evil.lsmd");
         write_sealed(&dir.join("CURRENT"), evil).unwrap();
         assert!(load_current(&dir).is_err());
         let _ = std::fs::remove_dir_all(&dir);

@@ -15,26 +15,21 @@
 //!
 //! ## Crash atomicity and corruption detection
 //!
-//! Writes go through [`write_atomic`]: the payload lands in a temporary
-//! sibling file, is fsync'd, and is atomically renamed over the
+//! Writes go through [`ls_fault::write_atomic`]: the payload lands in a
+//! temporary sibling file, is fsync'd, and is atomically renamed over the
 //! destination (the directory is fsync'd too on Unix) — a crash mid-save
 //! leaves either the old snapshot or the new one, never a torn hybrid.
 //! Every file carries a CRC32 footer ([`ls_fault::crc32`]); loads verify
 //! length and checksum before parsing a single field, so silent truncation
 //! or bit rot surfaces as a typed `InvalidData` error instead of a model
-//! that ranks garbage.
+//! that ranks garbage. Fields are laid out by [`ls_fault::codec`].
 
 use crate::model::LearnShapleyModel;
 use crate::tokenizer::{Tokenizer, SPECIALS};
+use ls_fault::{read_verified, write_sealed, Cursor, Put};
 use ls_nn::{EncoderConfig, Snapshot};
-use std::io::{self, Read};
+use std::io;
 use std::path::Path;
-
-// The generic crash-atomic/CRC-sealed helpers live in `ls_fault::persist`
-// so crates below `ls-core` (the circuit store) can share them; re-exported
-// here to keep historical call sites (`ls_core::persist::write_atomic` etc.)
-// working.
-pub use ls_fault::persist::{read_verified, seal, unseal, write_atomic, write_sealed};
 
 const MAGIC: &[u8; 4] = b"LSMD";
 const VERSION: u32 = 2;
@@ -46,15 +41,15 @@ pub fn save_model(
     path: &Path,
 ) -> io::Result<()> {
     let cfg = model.encoder.config;
-    let body = encode(cfg, &tokenizer.entries(), &Snapshot::capture(model))?;
+    let body = encode(cfg, &tokenizer.entries(), &Snapshot::capture(model));
     write_sealed(path, body)
 }
 
 /// The model file's body, before the CRC seal.
-fn encode(cfg: EncoderConfig, entries: &[(String, u32)], snap: &Snapshot) -> io::Result<Vec<u8>> {
+fn encode(cfg: EncoderConfig, entries: &[(String, u32)], snap: &Snapshot) -> Vec<u8> {
     let mut w = Vec::new();
-    w.extend_from_slice(MAGIC);
-    w.extend_from_slice(&VERSION.to_le_bytes());
+    w.put_bytes(MAGIC);
+    w.put_u32(VERSION);
     for v in [
         cfg.vocab,
         cfg.d_model,
@@ -63,19 +58,16 @@ fn encode(cfg: EncoderConfig, entries: &[(String, u32)], snap: &Snapshot) -> io:
         cfg.ff_dim,
         cfg.max_len,
     ] {
-        w.extend_from_slice(&(v as u32).to_le_bytes());
+        w.put_u32(v as u32);
     }
-    w.extend_from_slice(&cfg.seed.to_le_bytes());
-
-    w.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+    w.put_u64(cfg.seed);
+    w.put_u32(entries.len() as u32);
     for (word, id) in entries {
-        w.extend_from_slice(&id.to_le_bytes());
-        w.extend_from_slice(&(word.len() as u32).to_le_bytes());
-        w.extend_from_slice(word.as_bytes());
+        w.put_u32(*id);
+        w.put_str(word);
     }
-
-    snap.write_to(&mut w)?;
-    Ok(w)
+    snap.write_to(&mut w);
+    w
 }
 
 /// Load a model + tokenizer from `path`, verifying the checksum footer
@@ -83,73 +75,52 @@ fn encode(cfg: EncoderConfig, entries: &[(String, u32)], snap: &Snapshot) -> io:
 ///
 /// A sealed file is still outside input: a header the encoder cannot be
 /// built from, a vocabulary id the tokenizer or encoder would reject, a
-/// snapshot that does not fit the header, or a count larger than the bytes
-/// left is an `InvalidData` error, found before the model is allocated.
+/// snapshot that does not fit the header, a count larger than the bytes
+/// left, or bytes after the snapshot is an `InvalidData` error, found
+/// before the model is allocated.
 pub fn load_model(path: &Path) -> io::Result<(LearnShapleyModel, Tokenizer)> {
     let body = read_verified(path)?;
     let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
-    let mut r: &[u8] = &body;
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
+    let mut r = Cursor::new(&body);
+    if r.take(4)? != MAGIC {
         return Err(bad("bad model magic".into()));
     }
-    let version = read_u32(&mut r)?;
+    let version = r.u32()?;
     if version != VERSION {
         return Err(bad(format!("unsupported model version {version}")));
     }
-    let vocab = read_u32(&mut r)? as usize;
-    let d_model = read_u32(&mut r)? as usize;
-    let heads = read_u32(&mut r)? as usize;
-    let layers = read_u32(&mut r)? as usize;
-    let ff_dim = read_u32(&mut r)? as usize;
-    let max_len = read_u32(&mut r)? as usize;
-    let mut seed_buf = [0u8; 8];
-    r.read_exact(&mut seed_buf)?;
-    let seed = u64::from_le_bytes(seed_buf);
     let cfg = EncoderConfig {
-        vocab,
-        d_model,
-        heads,
-        layers,
-        ff_dim,
-        max_len,
-        seed,
+        vocab: r.u32()? as usize,
+        d_model: r.u32()? as usize,
+        heads: r.u32()? as usize,
+        layers: r.u32()? as usize,
+        ff_dim: r.u32()? as usize,
+        max_len: r.u32()? as usize,
+        seed: r.u64()?,
     };
+    let (vocab, d_model, heads) = (cfg.vocab, cfg.d_model, cfg.heads);
     if heads == 0 || !d_model.is_multiple_of(heads) {
         return Err(bad(format!(
             "{heads} attention heads do not divide d_model {d_model}"
         )));
     }
 
-    let n_entries = read_u32(&mut r)? as usize;
     // Every entry takes at least its 8-byte id and length.
-    if n_entries > r.len() / 8 {
-        return Err(bad(format!(
-            "{n_entries} vocabulary entries exceed the bytes left"
-        )));
-    }
+    let n_entries = r.count(8)?;
     let mut entries = Vec::with_capacity(n_entries);
     for _ in 0..n_entries {
-        let id = read_u32(&mut r)?;
-        let len = read_u32(&mut r)? as usize;
-        if len > r.len() {
-            return Err(bad(format!(
-                "vocabulary word of {len} bytes exceeds the bytes left"
-            )));
-        }
+        let id = r.u32()?;
+        let word = r.str()?;
         if id < SPECIALS || id as usize >= vocab {
             return Err(bad(format!(
                 "vocabulary id {id} outside {SPECIALS}..{vocab}"
             )));
         }
-        let (word, rest) = r.split_at(len);
-        r = rest;
-        let word = String::from_utf8(word.to_vec()).map_err(|e| bad(e.to_string()))?;
-        entries.push((word, id));
+        entries.push((word.to_string(), id));
     }
 
     let snap = Snapshot::read_from(&mut r)?;
+    r.finish()?;
     if !snap.shapes().eq(LearnShapleyModel::param_shapes(&cfg)) {
         return Err(bad(
             "parameter snapshot does not match the encoder config".into()
@@ -161,16 +132,11 @@ pub fn load_model(path: &Path) -> io::Result<(LearnShapleyModel, Tokenizer)> {
     Ok((model, tokenizer))
 }
 
-fn read_u32(r: &mut dyn Read) -> io::Result<u32> {
-    let mut buf = [0u8; 4];
-    r.read_exact(&mut buf)?;
-    Ok(u32::from_le_bytes(buf))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::tokenizer::Tokenizer;
+    use ls_fault::write_atomic;
     use std::fs;
 
     fn setup() -> (LearnShapleyModel, Tokenizer) {
@@ -282,28 +248,28 @@ mod tests {
     fn zero_heads_is_invalid_data() {
         let (cfg, entries, snap) = parts();
         let cfg = EncoderConfig { heads: 0, ..cfg };
-        assert_invalid("zero_heads", encode(cfg, &entries, &snap).unwrap());
+        assert_invalid("zero_heads", encode(cfg, &entries, &snap));
     }
 
     #[test]
     fn heads_not_dividing_d_model_is_invalid_data() {
         let (cfg, entries, snap) = parts();
         let cfg = EncoderConfig { heads: 3, ..cfg };
-        assert_invalid("heads_3", encode(cfg, &entries, &snap).unwrap());
+        assert_invalid("heads_3", encode(cfg, &entries, &snap));
     }
 
     #[test]
     fn reserved_vocabulary_id_is_invalid_data() {
         let (cfg, mut entries, snap) = parts();
         entries[0].1 = SPECIALS - 1;
-        assert_invalid("reserved_id", encode(cfg, &entries, &snap).unwrap());
+        assert_invalid("reserved_id", encode(cfg, &entries, &snap));
     }
 
     #[test]
     fn vocabulary_id_past_the_encoder_is_invalid_data() {
         let (cfg, mut entries, snap) = parts();
         entries[0].1 = cfg.vocab as u32;
-        assert_invalid("id_past_vocab", encode(cfg, &entries, &snap).unwrap());
+        assert_invalid("id_past_vocab", encode(cfg, &entries, &snap));
     }
 
     #[test]
@@ -326,14 +292,14 @@ mod tests {
                 },
             ),
         ] {
-            assert_invalid(name, encode(cfg, &entries, &snap).unwrap());
+            assert_invalid(name, encode(cfg, &entries, &snap));
         }
     }
 
     #[test]
     fn vocabulary_count_past_the_bytes_is_invalid_data() {
         let (cfg, entries, snap) = parts();
-        let mut body = encode(cfg, &entries, &snap).unwrap();
+        let mut body = encode(cfg, &entries, &snap);
         body[ENTRIES_AT..ENTRIES_AT + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert_invalid("n_entries", body);
     }
@@ -341,7 +307,7 @@ mod tests {
     #[test]
     fn word_length_past_the_bytes_is_invalid_data() {
         let (cfg, entries, snap) = parts();
-        let mut body = encode(cfg, &entries, &snap).unwrap();
+        let mut body = encode(cfg, &entries, &snap);
         let len_at = ENTRIES_AT + 4 + 4; // first entry: id, then len
         body[len_at..len_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert_invalid("word_len", body);
@@ -351,8 +317,8 @@ mod tests {
     fn snapshot_counts_past_the_bytes_are_invalid_data() {
         let (cfg, entries, snap) = parts();
         let mut snap_bytes = Vec::new();
-        snap.write_to(&mut snap_bytes).unwrap();
-        let body = encode(cfg, &entries, &snap).unwrap();
+        snap.write_to(&mut snap_bytes);
+        let body = encode(cfg, &entries, &snap);
         let head = &body[..body.len() - snap_bytes.len()];
         let with_snapshot = |fields: &[u32]| {
             let mut b = head.to_vec();

@@ -237,8 +237,7 @@ fn pretrain_inner(
     let mut start_epoch = 1usize;
     if let Some(ck) = ckpt {
         if let Some(state) = TrainCheckpoint::load(&ck.path, Stage::Pretrain, cfg.seed)? {
-            state.model.restore(model);
-            opt = state.optimizer()?;
+            opt = state.restore(model)?;
             best = (state.best_metric, state.best_epoch, state.best.clone());
             samples = state.samples;
             start_epoch = state.epochs_done + 1;
@@ -298,7 +297,7 @@ fn pretrain_inner(
                     epoch,
                     samples,
                     cfg.seed,
-                )?
+                )
                 .save(&ck.path)?;
                 ls_obs::counter("core.checkpoint.saved").incr();
             }

@@ -193,3 +193,28 @@ fn completed_run_resumes_to_a_no_op() {
     assert_eq!(first.samples, second.samples);
     let _ = std::fs::remove_file(&path);
 }
+
+/// A checkpoint written for one model and resumed into a model of another
+/// shape is an `InvalidData` error, not a panic inside the restore.
+#[test]
+fn finetune_refuses_a_checkpoint_written_for_another_model() {
+    let ds = tiny_dataset();
+    let train = ds.split_indices(Split::Train);
+    let path = tmp("ls_resume_finetune_other_model.ck");
+    let ck = CheckpointConfig::new(&path);
+    let (mut model, tok) = model_and_tokenizer(&ds);
+    finetune_resumable(&mut model, &tok, &ds, &train, &train_cfg(1), &ck).unwrap();
+    let mut wider = LearnShapleyModel::new(EncoderConfig {
+        d_model: 16,
+        ..model.encoder.config
+    });
+    let before = Snapshot::capture(&mut wider);
+    let err = finetune_resumable(&mut wider, &tok, &ds, &train, &train_cfg(2), &ck).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    assert_eq!(
+        Snapshot::capture(&mut wider),
+        before,
+        "model left untouched"
+    );
+    let _ = std::fs::remove_file(&path);
+}

@@ -196,3 +196,30 @@ fn publish_under_injected_faults_never_exposes_a_torn_snapshot() {
     assert!(load_current(&dir).is_err());
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Resuming an online checkpoint written for another model is an
+/// `InvalidData` error from `resume`, not a panic inside the restore.
+#[test]
+fn resume_refuses_a_checkpoint_written_for_another_model() {
+    let ds = tiny_dataset();
+    let (model, tok) = model_and_tokenizer(&ds);
+    let dir = tmp_dir("other-model");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("online.ck");
+    let mut trainer = OnlineTrainer::new(model, tok.clone(), online_cfg());
+    for (lsn, rec) in feedback_records(&ds).into_iter().take(8).enumerate() {
+        trainer.ingest(lsn as u64, rec);
+    }
+    trainer.train_pending();
+    trainer.checkpoint(&path).unwrap();
+
+    let wider = LearnShapleyModel::new(EncoderConfig {
+        d_model: 16,
+        ..trainer.model().encoder.config
+    });
+    let mut resumed = OnlineTrainer::new(wider, tok, online_cfg());
+    let err = resumed.resume(&path).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    assert_eq!((resumed.steps(), resumed.consumed()), (0, 0));
+    let _ = std::fs::remove_dir_all(&dir);
+}

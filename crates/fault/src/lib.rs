@@ -17,7 +17,8 @@
 //!   retry delays with deterministic jitter; [`CircuitBreaker`] flips
 //!   callers onto a degraded path after repeated primary failures and
 //!   probes its way back; [`crc32`] anchors crash-atomic persistence
-//!   footers.
+//!   footers, and [`codec`] is the one byte layout ([`Put`] writer,
+//!   [`Cursor`] reader) behind every persisted and wire format.
 //!
 //! Everything is `std`-only (plus `ls-obs` for the `fault.*` metrics).
 
@@ -25,6 +26,7 @@
 
 pub mod backoff;
 pub mod breaker;
+pub mod codec;
 pub mod crc;
 pub mod io;
 pub mod persist;
@@ -35,6 +37,7 @@ pub mod sync;
 
 pub use backoff::Backoff;
 pub use breaker::{BreakerState, CircuitBreaker};
+pub use codec::{Cursor, DecodeError, Put};
 pub use crc::{crc32, crc32_update};
 pub use io::{FaultyRead, FaultyWrite, INJECTED_ERROR_MSG};
 pub use persist::{

@@ -16,9 +16,10 @@
 //! It lives in `ls-fault` (rather than `ls-core`) because durability under
 //! crashes and corruption *is* fault tolerance — and because low-level
 //! consumers like the circuit store cannot depend on `ls-core` without a
-//! dependency cycle. `ls_core::persist` re-exports everything here, so model
-//! persistence call sites are unchanged.
+//! dependency cycle. Bodies and the footer alike are laid out by
+//! [`crate::codec`].
 
+use crate::codec::{Cursor, Put};
 use crate::crc::crc32;
 use crate::io::INJECTED_ERROR_MSG;
 use crate::plan::{FaultAction, Injector};
@@ -35,9 +36,9 @@ pub const FOOTER_LEN: usize = 16;
 pub fn seal(mut body: Vec<u8>) -> Vec<u8> {
     let crc = crc32(&body);
     let len = body.len() as u64;
-    body.extend_from_slice(FOOTER_MAGIC);
-    body.extend_from_slice(&len.to_le_bytes());
-    body.extend_from_slice(&crc.to_le_bytes());
+    body.put_bytes(FOOTER_MAGIC);
+    body.put_u64(len);
+    body.put_u32(crc);
     body
 }
 
@@ -48,15 +49,14 @@ pub fn unseal(bytes: &[u8]) -> io::Result<&[u8]> {
         return Err(bad("file shorter than checksum footer"));
     }
     let (body, footer) = bytes.split_at(bytes.len() - FOOTER_LEN);
-    if &footer[..4] != FOOTER_MAGIC {
+    let mut footer = Cursor::new(footer);
+    if footer.take(4)? != FOOTER_MAGIC {
         return Err(bad("missing checksum footer (truncated or pre-v2 file)"));
     }
-    let len = u64::from_le_bytes(footer[4..12].try_into().unwrap());
-    if len != body.len() as u64 {
+    if footer.u64()? != body.len() as u64 {
         return Err(bad("footer length does not match file length"));
     }
-    let crc = u32::from_le_bytes(footer[12..16].try_into().unwrap());
-    if crc != crc32(body) {
+    if footer.u32()? != crc32(body) {
         return Err(bad("checksum mismatch: snapshot is corrupt"));
     }
     Ok(body)

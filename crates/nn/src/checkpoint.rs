@@ -6,7 +6,8 @@
 //! per-parameter shape + data), with no external serialization crate.
 
 use crate::param::Visit;
-use std::io::{self, Read, Write};
+use ls_fault::{Cursor, DecodeError, Put};
+use std::io;
 
 /// An in-memory snapshot of a module's parameters (visitation order).
 #[derive(Debug, Clone, PartialEq)]
@@ -53,19 +54,16 @@ impl Snapshot {
         self.tensors.is_empty()
     }
 
-    /// Serialize to a writer (magic, tensor count, then rows/cols/data per
-    /// tensor; all little-endian).
-    pub fn write_to(&self, w: &mut dyn Write) -> io::Result<()> {
-        w.write_all(b"LSCK")?;
-        w.write_all(&(self.tensors.len() as u32).to_le_bytes())?;
+    /// Append the binary form to `w`: magic, tensor count, then
+    /// rows/cols/data per tensor (all little-endian).
+    pub fn write_to(&self, w: &mut Vec<u8>) {
+        w.put_bytes(b"LSCK");
+        w.put_u32(self.tensors.len() as u32);
         for (rows, cols, data) in &self.tensors {
-            w.write_all(&(*rows as u32).to_le_bytes())?;
-            w.write_all(&(*cols as u32).to_le_bytes())?;
-            for v in data {
-                w.write_all(&v.to_le_bytes())?;
-            }
+            w.put_u32(*rows as u32);
+            w.put_u32(*cols as u32);
+            w.put_f32s(data);
         }
-        Ok(())
     }
 
     /// Shapes `(rows, cols)` of the captured tensors, in visitation order.
@@ -73,42 +71,21 @@ impl Snapshot {
         self.tensors.iter().map(|(rows, cols, _)| (*rows, *cols))
     }
 
-    /// Deserialize from the front of `r`, advancing it past the snapshot.
-    /// The tensor count and every `rows × cols` are checked against the
-    /// bytes left before anything is allocated, so an inconsistent header
-    /// is an `InvalidData` error, never an oversized allocation.
-    pub fn read_from(r: &mut &[u8]) -> io::Result<Self> {
-        let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
-        let mut magic = [0u8; 4];
-        r.read_exact(&mut magic)?;
-        if &magic != b"LSCK" {
-            return Err(bad("bad checkpoint magic"));
+    /// Deserialize from `c`, leaving it just past the snapshot. The tensor
+    /// count and every `rows × cols` are checked against the bytes left
+    /// before anything is allocated, so an inconsistent header is an
+    /// `InvalidData` error, never an oversized allocation.
+    pub fn read_from(c: &mut Cursor<'_>) -> io::Result<Self> {
+        if c.take(4)? != b"LSCK" {
+            return Err(DecodeError::Malformed("bad checkpoint magic").into());
         }
-        let read_u32 = |r: &mut &[u8]| -> io::Result<usize> {
-            let mut buf = [0u8; 4];
-            r.read_exact(&mut buf)?;
-            Ok(u32::from_le_bytes(buf) as usize)
-        };
-        let count = read_u32(r)?;
         // Every tensor takes at least its 8-byte shape.
-        if count > r.len() / 8 {
-            return Err(bad("tensor count exceeds the bytes left"));
-        }
+        let count = c.count(8)?;
         let mut tensors = Vec::with_capacity(count);
         for _ in 0..count {
-            let rows = read_u32(r)?;
-            let cols = read_u32(r)?;
-            let len = rows
-                .checked_mul(cols)
-                .filter(|&n| n <= r.len() / 4)
-                .ok_or_else(|| bad("tensor data exceeds the bytes left"))?;
-            let (bytes, rest) = r.split_at(4 * len);
-            let data = bytes
-                .chunks_exact(4)
-                .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-                .collect();
-            *r = rest;
-            tensors.push((rows, cols, data));
+            let rows = c.u32()? as usize;
+            let cols = c.u32()? as usize;
+            tensors.push((rows, cols, c.f32s(rows.saturating_mul(cols))?));
         }
         Ok(Snapshot { tensors })
     }
@@ -142,8 +119,8 @@ mod tests {
         let mut layer = Linear::new(4, 3, &mut rng);
         let snap = Snapshot::capture(&mut layer);
         let mut bytes = Vec::new();
-        snap.write_to(&mut bytes).unwrap();
-        let loaded = Snapshot::read_from(&mut bytes.as_slice()).unwrap();
+        snap.write_to(&mut bytes);
+        let loaded = Snapshot::read_from(&mut Cursor::new(&bytes)).unwrap();
         assert_eq!(snap, loaded);
         assert_eq!(loaded.len(), 2);
         assert!(!loaded.is_empty());
@@ -152,7 +129,7 @@ mod tests {
     #[test]
     fn bad_magic_rejected() {
         let bytes = b"XXXX\x00\x00\x00\x00".to_vec();
-        let err = Snapshot::read_from(&mut bytes.as_slice()).unwrap_err();
+        let err = Snapshot::read_from(&mut Cursor::new(&bytes)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
@@ -183,15 +160,15 @@ mod tests {
             ("rows*cols", header(1, Some((u32::MAX, u32::MAX)))),
             ("one past the data", header(1, Some((1, 17)))),
         ] {
-            let err = Snapshot::read_from(&mut bytes.as_slice()).unwrap_err();
+            let err = Snapshot::read_from(&mut Cursor::new(&bytes)).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}");
         }
         // Exactly the bytes there are is fine, and the reader stops there.
         let bytes = header(1, Some((4, 4)));
-        let mut r = bytes.as_slice();
+        let mut r = Cursor::new(&bytes);
         let snap = Snapshot::read_from(&mut r).unwrap();
         assert_eq!(snap.shapes().collect::<Vec<_>>(), vec![(4, 4)]);
-        assert!(r.is_empty());
+        assert_eq!(r.remaining(), 0);
     }
 
     #[test]
@@ -200,9 +177,9 @@ mod tests {
         let mut layer = Linear::new(2, 2, &mut rng);
         let snap = Snapshot::capture(&mut layer);
         let mut bytes = Vec::new();
-        snap.write_to(&mut bytes).unwrap();
+        snap.write_to(&mut bytes);
         bytes.truncate(bytes.len() - 3);
-        assert!(Snapshot::read_from(&mut bytes.as_slice()).is_err());
+        assert!(Snapshot::read_from(&mut Cursor::new(&bytes)).is_err());
         let _ = Tensor::zeros(1, 1);
     }
 }

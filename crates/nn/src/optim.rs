@@ -1,7 +1,8 @@
 //! Adam optimizer with decoupled weight decay (AdamW).
 
 use crate::param::{Param, Visit};
-use std::io::{self, Read, Write};
+use ls_fault::{Cursor, DecodeError, Put};
+use std::io;
 
 /// Adam hyper-parameters.
 #[derive(Debug, Clone, Copy)]
@@ -102,12 +103,17 @@ impl Adam {
         self.cfg
     }
 
+    /// Length of each moment buffer, in parameter-visitation order.
+    pub fn buffer_lens(&self) -> impl Iterator<Item = usize> + '_ {
+        self.m.iter().map(Vec::len)
+    }
+
     /// Serialize the full optimizer state (hyper-parameters, step count,
     /// both moment buffers) little-endian. Moments are written as exact
     /// `f32` bit patterns, so a round trip restores the optimizer
     /// bit-identically — resumed training steps match uninterrupted ones.
-    pub fn write_state(&self, w: &mut dyn Write) -> io::Result<()> {
-        w.write_all(b"LSAD")?;
+    pub fn write_state(&self, w: &mut Vec<u8>) {
+        w.put_bytes(b"LSAD");
         for v in [
             self.cfg.lr,
             self.cfg.beta1,
@@ -115,65 +121,46 @@ impl Adam {
             self.cfg.eps,
             self.cfg.weight_decay,
         ] {
-            w.write_all(&v.to_le_bytes())?;
+            w.put_f32(v);
         }
-        w.write_all(&self.step.to_le_bytes())?;
-        w.write_all(&(self.m.len() as u32).to_le_bytes())?;
+        w.put_u64(self.step);
+        w.put_u32(self.m.len() as u32);
         for (mbuf, vbuf) in self.m.iter().zip(&self.v) {
-            w.write_all(&(mbuf.len() as u32).to_le_bytes())?;
-            for x in mbuf.iter().chain(vbuf) {
-                w.write_all(&x.to_le_bytes())?;
-            }
+            w.put_u32(mbuf.len() as u32);
+            w.put_f32s(mbuf);
+            w.put_f32s(vbuf);
         }
-        Ok(())
     }
 
-    /// Deserialize optimizer state written by [`Adam::write_state`]. The
-    /// moment-buffer layout must match the module the optimizer will be
-    /// paired with (same parameter visitation order).
-    pub fn read_state(r: &mut dyn Read) -> io::Result<Adam> {
-        let mut magic = [0u8; 4];
-        r.read_exact(&mut magic)?;
-        if &magic != b"LSAD" {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "bad optimizer-state magic",
-            ));
+    /// Deserialize one optimizer state written by [`Adam::write_state`].
+    /// The buffer count and every buffer length are checked against the
+    /// bytes left before anything is allocated, so a hostile state is an
+    /// `InvalidData` error. The moment-buffer layout must match the module
+    /// the optimizer will be paired with (same parameter visitation order).
+    pub fn read_state(bytes: &[u8]) -> io::Result<Adam> {
+        let mut c = Cursor::new(bytes);
+        if c.take(4)? != b"LSAD" {
+            return Err(DecodeError::Malformed("bad optimizer-state magic").into());
         }
-        let mut f32buf = [0u8; 4];
-        let mut read_f32 = |r: &mut dyn Read| -> io::Result<f32> {
-            r.read_exact(&mut f32buf)?;
-            Ok(f32::from_le_bytes(f32buf))
-        };
         let cfg = AdamConfig {
-            lr: read_f32(r)?,
-            beta1: read_f32(r)?,
-            beta2: read_f32(r)?,
-            eps: read_f32(r)?,
-            weight_decay: read_f32(r)?,
+            lr: c.f32()?,
+            beta1: c.f32()?,
+            beta2: c.f32()?,
+            eps: c.f32()?,
+            weight_decay: c.f32()?,
         };
-        let mut u64buf = [0u8; 8];
-        r.read_exact(&mut u64buf)?;
-        let step = u64::from_le_bytes(u64buf);
-        let mut u32buf = [0u8; 4];
-        r.read_exact(&mut u32buf)?;
-        let count = u32::from_le_bytes(u32buf) as usize;
+        let step = c.u64()?;
+        // Every buffer pair takes at least its 4-byte length.
+        let count = c.count(4)?;
         let mut m = Vec::with_capacity(count);
         let mut v = Vec::with_capacity(count);
         for _ in 0..count {
-            r.read_exact(&mut u32buf)?;
-            let len = u32::from_le_bytes(u32buf) as usize;
-            let mut read_buf = |r: &mut dyn Read| -> io::Result<Vec<f32>> {
-                let mut buf = vec![0f32; len];
-                for x in &mut buf {
-                    r.read_exact(&mut u32buf)?;
-                    *x = f32::from_le_bytes(u32buf);
-                }
-                Ok(buf)
-            };
-            m.push(read_buf(r)?);
-            v.push(read_buf(r)?);
+            // Each element is one f32 in each of the two moment buffers.
+            let len = c.count(8)?;
+            m.push(c.f32s(len)?);
+            v.push(c.f32s(len)?);
         }
+        c.finish()?;
         Ok(Adam { cfg, step, m, v })
     }
 }
@@ -279,8 +266,8 @@ mod tests {
             step_once(&mut layer, &mut opt);
         }
         let mut bytes = Vec::new();
-        opt.write_state(&mut bytes).unwrap();
-        let mut restored = Adam::read_state(&mut bytes.as_slice()).unwrap();
+        opt.write_state(&mut bytes);
+        let mut restored = Adam::read_state(&bytes).unwrap();
         assert_eq!(restored.steps(), 7);
         assert_eq!(restored.config().lr, opt.config().lr);
         // Clone the module and advance both optimizer copies in lockstep.
@@ -299,9 +286,28 @@ mod tests {
         }
     }
 
+    /// A buffer count or a buffer length larger than the bytes left is
+    /// refused before anything is allocated for it, not a process abort.
+    #[test]
+    fn hostile_state_counts_are_invalid_data() {
+        let mut rng = StdRng::seed_from_u64(6);
+        let mut layer = Linear::new(1, 1, &mut rng);
+        let mut state = Vec::new();
+        Adam::new(&mut layer, AdamConfig::default()).write_state(&mut state);
+        // Magic, five f32 hyper-parameters and the u64 step precede the
+        // buffer count.
+        let header = &state[..4 + 5 * 4 + 8];
+        let count = [header, &u32::MAX.to_le_bytes()].concat(); // 36 bytes
+        let len = [header, &1u32.to_le_bytes(), &u32::MAX.to_le_bytes()].concat(); // 40 bytes
+        for (what, bytes) in [("buffer count", count), ("buffer length", len)] {
+            let err = Adam::read_state(&bytes).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+        }
+    }
+
     #[test]
     fn state_with_bad_magic_rejected() {
-        assert!(Adam::read_state(&mut b"XXXX".as_slice()).is_err());
+        assert!(Adam::read_state(b"XXXX").is_err());
     }
 
     #[test]

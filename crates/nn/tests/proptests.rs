@@ -94,8 +94,8 @@ proptest! {
         prop_assert_eq!(before, after);
         // Binary round-trip too.
         let mut bytes = Vec::new();
-        snap.write_to(&mut bytes).unwrap();
-        let loaded = Snapshot::read_from(&mut bytes.as_slice()).unwrap();
+        snap.write_to(&mut bytes);
+        let loaded = Snapshot::read_from(&mut ls_fault::Cursor::new(&bytes)).unwrap();
         prop_assert_eq!(snap, loaded);
     }
 

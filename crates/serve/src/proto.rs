@@ -9,10 +9,10 @@
 //! After the hello every message is a **frame**: a little-endian `u32` byte
 //! length followed by that many payload bytes. Frames above [`MAX_FRAME`]
 //! bytes are rejected (a corrupt length prefix must not make the server
-//! allocate 4 GiB). Payload byte 0 names the frame kind; the rest is
-//! little-endian fixed-width fields and `u32`-length-prefixed UTF-8
-//! strings, the same idiom as the `ls-circuit` `LSCS` store. See
-//! [`decode_binary_frame`] and DESIGN.md §4j for the frame layouts.
+//! allocate 4 GiB). Payload byte 0 names the frame kind; the rest is laid
+//! out by the workspace's one byte codec, [`ls_fault::codec`] (DESIGN.md
+//! §4n). See [`decode_binary_frame`] and DESIGN.md §4j for the frame
+//! layouts.
 //!
 //! Scores travel as raw `f64` bits and feedback targets as raw `f32` bits,
 //! so the floats a TCP client receives are bit-identical to the in-process
@@ -23,6 +23,7 @@
 use crate::server::{RankRequest, RankResponse, ServeError, StageBreakdown};
 use ls_circuit::Tier;
 use ls_core::FeedbackRecord;
+use ls_fault::{Cursor, DecodeError, Put};
 use ls_obs::{Json, TraceContext};
 use ls_relational::{FactId, Monomial, OutputTuple, Value};
 use std::fmt;
@@ -88,6 +89,15 @@ impl fmt::Display for FrameError {
 }
 
 impl std::error::Error for FrameError {}
+
+impl From<DecodeError> for FrameError {
+    fn from(e: DecodeError) -> Self {
+        match e {
+            DecodeError::Truncated { need, have } => FrameError::Truncated { need, have },
+            DecodeError::Malformed(what) => FrameError::Malformed(what),
+        }
+    }
+}
 
 /// Recover the typed [`FrameError`] from an `io::Error`, if it carries one.
 pub fn frame_error(e: &io::Error) -> Option<&FrameError> {
@@ -247,9 +257,19 @@ fn seal_frame(mut buf: Vec<u8>) -> Vec<u8> {
     buf
 }
 
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    buf.extend_from_slice(s.as_bytes());
+/// A `u32` count, then each fact id.
+fn put_facts(buf: &mut Vec<u8>, facts: &[FactId]) {
+    buf.put_u32(facts.len() as u32);
+    facts.iter().for_each(|f| buf.put_u32(f.0));
+}
+
+fn get_facts(c: &mut Cursor<'_>) -> Result<Vec<FactId>, DecodeError> {
+    let n = c.count(4)?;
+    let mut facts = Vec::with_capacity(n);
+    for _ in 0..n {
+        facts.push(FactId(c.u32()?));
+    }
+    Ok(facts)
 }
 
 fn error_code(e: &ServeError) -> (u8, &str) {
@@ -296,8 +316,8 @@ fn tier_from_code(code: u8) -> Result<Tier, FrameError> {
 /// included).
 pub fn encode_binary_request(id: u64, req: &RankRequest, trace: Option<&TraceContext>) -> Vec<u8> {
     let mut buf = frame_shell();
-    buf.push(BK_RANK_REQ);
-    buf.extend_from_slice(&id.to_le_bytes());
+    buf.put_u8(BK_RANK_REQ);
+    buf.put_u64(id);
     let mut flags = 0u8;
     if trace.is_some() {
         flags |= 1;
@@ -308,52 +328,45 @@ pub fn encode_binary_request(id: u64, req: &RankRequest, trace: Option<&TraceCon
     if req.slo.is_some() {
         flags |= 4;
     }
-    buf.push(flags);
+    buf.put_u8(flags);
     if let Some(ctx) = trace {
-        buf.extend_from_slice(&ctx.trace_id.to_le_bytes());
-        buf.extend_from_slice(&ctx.span_id.to_le_bytes());
+        buf.put_u64(ctx.trace_id);
+        buf.put_u64(ctx.span_id);
     }
     if let Some(d) = req.deadline {
-        buf.extend_from_slice(&(d.as_micros().min(u64::MAX as u128) as u64).to_le_bytes());
+        buf.put_u64(d.as_micros().min(u64::MAX as u128) as u64);
     }
     if let Some(slo) = req.slo {
-        buf.extend_from_slice(&(slo.as_micros().min(u64::MAX as u128) as u64).to_le_bytes());
+        buf.put_u64(slo.as_micros().min(u64::MAX as u128) as u64);
     }
-    put_str(&mut buf, &req.query_sql);
-    buf.extend_from_slice(&(req.tuple.values.len() as u16).to_le_bytes());
+    buf.put_str(&req.query_sql);
+    buf.put_u16(req.tuple.values.len() as u16);
     for v in &req.tuple.values {
         match v {
             Value::Int(n) => {
-                buf.push(0);
-                buf.extend_from_slice(&n.to_le_bytes());
+                buf.put_u8(0);
+                buf.put_i64(*n);
             }
             Value::Str(s) => {
-                buf.push(1);
-                put_str(&mut buf, s);
+                buf.put_u8(1);
+                buf.put_str(s);
             }
         }
     }
-    buf.extend_from_slice(&(req.lineage.len() as u32).to_le_bytes());
-    for f in &req.lineage {
-        buf.extend_from_slice(&f.0.to_le_bytes());
-    }
-    buf.extend_from_slice(&(req.tuple.derivations.len() as u32).to_le_bytes());
+    put_facts(&mut buf, &req.lineage);
+    buf.put_u32(req.tuple.derivations.len() as u32);
     for m in &req.tuple.derivations {
-        let facts = m.facts();
-        buf.extend_from_slice(&(facts.len() as u32).to_le_bytes());
-        for f in facts {
-            buf.extend_from_slice(&f.0.to_le_bytes());
-        }
+        put_facts(&mut buf, m.facts());
     }
     seal_frame(buf)
 }
 
 fn encode_binary_error(buf: &mut Vec<u8>, kind: u8, id: u64, e: &ServeError) {
-    buf.push(kind);
-    buf.extend_from_slice(&id.to_le_bytes());
     let (code, detail) = error_code(e);
-    buf.push(code);
-    put_str(buf, detail);
+    buf.put_u8(kind);
+    buf.put_u64(id);
+    buf.put_u8(code);
+    buf.put_str(detail);
 }
 
 /// Encode a binary rank response as a complete frame. Scores travel as raw
@@ -363,8 +376,8 @@ pub fn encode_binary_response(id: u64, result: &Result<RankResponse, ServeError>
     let mut buf = frame_shell();
     match result {
         Ok(resp) => {
-            buf.push(BK_RANK_OK);
-            buf.extend_from_slice(&id.to_le_bytes());
+            buf.put_u8(BK_RANK_OK);
+            buf.put_u64(id);
             let mut flags = 0u8;
             if resp.cached {
                 flags |= 1;
@@ -378,24 +391,19 @@ pub fn encode_binary_response(id: u64, result: &Result<RankResponse, ServeError>
             if resp.tier.is_some() {
                 flags |= 8;
             }
-            buf.push(flags);
-            buf.extend_from_slice(&(resp.scores.len() as u32).to_le_bytes());
-            for s in &resp.scores {
-                buf.extend_from_slice(&s.to_bits().to_le_bytes());
-            }
-            buf.extend_from_slice(&(resp.ranking.len() as u32).to_le_bytes());
-            for f in &resp.ranking {
-                buf.extend_from_slice(&f.0.to_le_bytes());
-            }
+            buf.put_u8(flags);
+            buf.put_u32(resp.scores.len() as u32);
+            resp.scores.iter().for_each(|&s| buf.put_f64(s));
+            put_facts(&mut buf, &resp.ranking);
             if let Some(b) = &resp.stages {
                 for v in [
                     b.probe_us, b.queue_us, b.batch_us, b.score_us, b.other_us, b.total_us,
                 ] {
-                    buf.extend_from_slice(&v.to_le_bytes());
+                    buf.put_u64(v);
                 }
             }
             if let Some(t) = resp.tier {
-                buf.push(tier_code(t));
+                buf.put_u8(tier_code(t));
             }
         }
         Err(e) => encode_binary_error(&mut buf, BK_RANK_ERR, id, e),
@@ -403,15 +411,13 @@ pub fn encode_binary_response(id: u64, result: &Result<RankResponse, ServeError>
     seal_frame(buf)
 }
 
-/// Encode a binary feedback request as a complete frame (`target` as raw
-/// `f32` bits).
+/// Encode a binary feedback request as a complete frame: after the kind
+/// byte and id, the body is exactly [`FeedbackRecord::encode`]'s bytes.
 pub fn encode_binary_feedback_request(id: u64, rec: &FeedbackRecord) -> Vec<u8> {
     let mut buf = frame_shell();
-    buf.push(BK_FEEDBACK_REQ);
-    buf.extend_from_slice(&id.to_le_bytes());
-    put_str(&mut buf, &rec.query_sql);
-    put_str(&mut buf, &rec.tuple_fact);
-    buf.extend_from_slice(&rec.target.to_bits().to_le_bytes());
+    buf.put_u8(BK_FEEDBACK_REQ);
+    buf.put_u64(id);
+    rec.write_to(&mut buf);
     seal_frame(buf)
 }
 
@@ -421,9 +427,9 @@ pub fn encode_binary_feedback_response(id: u64, result: &Result<u64, ServeError>
     let mut buf = frame_shell();
     match result {
         Ok(lsn) => {
-            buf.push(BK_FEEDBACK_OK);
-            buf.extend_from_slice(&id.to_le_bytes());
-            buf.extend_from_slice(&lsn.to_le_bytes());
+            buf.put_u8(BK_FEEDBACK_OK);
+            buf.put_u64(id);
+            buf.put_u64(*lsn);
         }
         Err(e) => encode_binary_error(&mut buf, BK_FEEDBACK_ERR, id, e),
     }
@@ -433,9 +439,9 @@ pub fn encode_binary_feedback_response(id: u64, result: &Result<u64, ServeError>
 /// Encode a binary admin request as a complete frame.
 pub fn encode_binary_admin_request(id: u64, cmd: AdminCommand) -> Vec<u8> {
     let mut buf = frame_shell();
-    buf.push(BK_ADMIN_REQ);
-    buf.extend_from_slice(&id.to_le_bytes());
-    buf.push(match cmd {
+    buf.put_u8(BK_ADMIN_REQ);
+    buf.put_u64(id);
+    buf.put_u8(match cmd {
         AdminCommand::Metrics => 0,
         AdminCommand::State => 1,
         AdminCommand::Traces => 2,
@@ -449,91 +455,13 @@ pub fn encode_binary_admin_request(id: u64, cmd: AdminCommand) -> Vec<u8> {
 /// string for `obsctl` to parse.
 pub fn encode_binary_admin_response(id: u64, data: &str) -> Vec<u8> {
     let mut buf = frame_shell();
-    buf.push(BK_ADMIN_OK);
-    buf.extend_from_slice(&id.to_le_bytes());
-    put_str(&mut buf, data);
+    buf.put_u8(BK_ADMIN_OK);
+    buf.put_u64(id);
+    buf.put_str(data);
     seal_frame(buf)
 }
 
-/// Bounds-checked little-endian cursor over a binary payload. Every read
-/// verifies `need ≤ have` first — hostile byte soups yield a typed
-/// [`FrameError`], never a panic, and counts are checked against the bytes
-/// that would carry them before anything is allocated.
-struct Cur<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cur<'a> {
-    fn new(buf: &'a [u8]) -> Cur<'a> {
-        Cur { buf, pos: 0 }
-    }
-
-    fn have(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], FrameError> {
-        if self.have() < n {
-            return Err(FrameError::Truncated {
-                need: n,
-                have: self.have(),
-            });
-        }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
-    fn u8(&mut self) -> Result<u8, FrameError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, FrameError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("len 2")))
-    }
-
-    fn u32(&mut self) -> Result<u32, FrameError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("len 4")))
-    }
-
-    fn u64(&mut self) -> Result<u64, FrameError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("len 8")))
-    }
-
-    fn i64(&mut self) -> Result<i64, FrameError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().expect("len 8")))
-    }
-
-    /// A count of `n` items, each at least `width` bytes — rejected up
-    /// front unless the remaining payload could actually hold them.
-    fn count(&mut self, width: usize) -> Result<usize, FrameError> {
-        let n = self.u32()? as usize;
-        let need = n.saturating_mul(width);
-        if self.have() < need {
-            return Err(FrameError::Truncated {
-                need,
-                have: self.have(),
-            });
-        }
-        Ok(n)
-    }
-
-    fn str_(&mut self) -> Result<&'a str, FrameError> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        std::str::from_utf8(bytes).map_err(|_| FrameError::Malformed("string not UTF-8"))
-    }
-
-    fn finish(&self) -> Result<(), FrameError> {
-        if self.have() != 0 {
-            return Err(FrameError::Malformed("trailing bytes after payload"));
-        }
-        Ok(())
-    }
-}
-
-fn decode_binary_rank_req(c: &mut Cur<'_>) -> Result<Frame, FrameError> {
+fn decode_binary_rank_req(c: &mut Cursor<'_>) -> Result<Frame, FrameError> {
     let id = c.u64()?;
     let flags = c.u8()?;
     let trace = if flags & 1 != 0 {
@@ -559,30 +487,21 @@ fn decode_binary_rank_req(c: &mut Cur<'_>) -> Result<Frame, FrameError> {
     } else {
         None
     };
-    let query_sql = c.str_()?.to_string();
+    let query_sql = c.str()?.to_string();
     let n_values = c.u16()? as usize;
     let mut values = Vec::with_capacity(n_values.min(1024));
     for _ in 0..n_values {
         match c.u8()? {
             0 => values.push(Value::Int(c.i64()?)),
-            1 => values.push(Value::Str(c.str_()?.to_string())),
+            1 => values.push(Value::Str(c.str()?.to_string())),
             _ => return Err(FrameError::Malformed("unknown value tag")),
         }
     }
-    let n_lineage = c.count(4)?;
-    let mut lineage = Vec::with_capacity(n_lineage);
-    for _ in 0..n_lineage {
-        lineage.push(FactId(c.u32()?));
-    }
+    let lineage = get_facts(c)?;
     let n_derivations = c.count(4)?;
     let mut derivations = Vec::with_capacity(n_derivations);
     for _ in 0..n_derivations {
-        let n_facts = c.count(4)?;
-        let mut facts = Vec::with_capacity(n_facts);
-        for _ in 0..n_facts {
-            facts.push(FactId(c.u32()?));
-        }
-        derivations.push(Monomial::from_facts(facts));
+        derivations.push(Monomial::from_facts(get_facts(c)?));
     }
     c.finish()?;
     Ok(Frame::Rank(
@@ -606,23 +525,14 @@ fn decode_binary_rank_req(c: &mut Cur<'_>) -> Result<Frame, FrameError> {
 /// payload itself could describe — arbitrary bytes yield `Ok` or a typed
 /// [`FrameError`] (the proptest fuzz suite in `tests/wire.rs` pins this).
 pub fn decode_binary_frame(payload: &[u8]) -> Result<Frame, FrameError> {
-    let mut c = Cur::new(payload);
+    let mut c = Cursor::new(payload);
     match c.u8()? {
         BK_RANK_REQ => decode_binary_rank_req(&mut c),
         BK_FEEDBACK_REQ => {
             let id = c.u64()?;
-            let query_sql = c.str_()?.to_string();
-            let tuple_fact = c.str_()?.to_string();
-            let target = f32::from_bits(c.u32()?);
+            let rec = FeedbackRecord::read_from(&mut c)?;
             c.finish()?;
-            Ok(Frame::Feedback(
-                id,
-                FeedbackRecord {
-                    query_sql,
-                    tuple_fact,
-                    target,
-                },
-            ))
+            Ok(Frame::Feedback(id, rec))
         }
         BK_ADMIN_REQ => {
             let id = c.u64()?;
@@ -644,7 +554,7 @@ pub fn decode_binary_frame(payload: &[u8]) -> Result<Frame, FrameError> {
 pub fn decode_binary_response(
     payload: &[u8],
 ) -> Result<(u64, Result<RankResponse, ServeError>), FrameError> {
-    let mut c = Cur::new(payload);
+    let mut c = Cursor::new(payload);
     match c.u8()? {
         BK_RANK_OK => {
             let id = c.u64()?;
@@ -652,13 +562,9 @@ pub fn decode_binary_response(
             let n_scores = c.count(8)?;
             let mut scores = Vec::with_capacity(n_scores);
             for _ in 0..n_scores {
-                scores.push(f64::from_bits(c.u64()?));
+                scores.push(c.f64()?);
             }
-            let n_ranking = c.count(4)?;
-            let mut ranking = Vec::with_capacity(n_ranking);
-            for _ in 0..n_ranking {
-                ranking.push(FactId(c.u32()?));
-            }
+            let ranking = get_facts(&mut c)?;
             let stages = if flags & 4 != 0 {
                 Some(StageBreakdown {
                     probe_us: c.u64()?,
@@ -697,10 +603,10 @@ pub fn decode_binary_response(
     }
 }
 
-fn decode_binary_err(c: &mut Cur<'_>) -> Result<(u64, ServeError), FrameError> {
+fn decode_binary_err(c: &mut Cursor<'_>) -> Result<(u64, ServeError), FrameError> {
     let id = c.u64()?;
     let code = c.u8()?;
-    let detail = c.str_()?;
+    let detail = c.str()?;
     let err = error_from_code(code, detail)?;
     c.finish()?;
     Ok((id, err))
@@ -710,7 +616,7 @@ fn decode_binary_err(c: &mut Cur<'_>) -> Result<(u64, ServeError), FrameError> {
 pub fn decode_binary_feedback_response(
     payload: &[u8],
 ) -> Result<(u64, Result<u64, ServeError>), FrameError> {
-    let mut c = Cur::new(payload);
+    let mut c = Cursor::new(payload);
     match c.u8()? {
         BK_FEEDBACK_OK => {
             let id = c.u64()?;
@@ -728,11 +634,11 @@ pub fn decode_binary_feedback_response(
 
 /// Decode a binary admin response payload into `(id, data)`.
 pub fn decode_binary_admin_response(payload: &[u8]) -> Result<(u64, Json), FrameError> {
-    let mut c = Cur::new(payload);
+    let mut c = Cursor::new(payload);
     match c.u8()? {
         BK_ADMIN_OK => {
             let id = c.u64()?;
-            let data = c.str_()?;
+            let data = c.str()?;
             c.finish()?;
             let doc =
                 ls_obs::parse_json(data).map_err(|_| FrameError::Malformed("admin data JSON"))?;

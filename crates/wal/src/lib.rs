@@ -51,7 +51,9 @@
 
 #![warn(missing_docs)]
 
-use ls_fault::{crc32, fsync_with, rename_with, FaultyRead, FaultyWrite, Injector, NoFaults};
+use ls_fault::{
+    crc32, fsync_with, rename_with, Cursor, FaultyRead, FaultyWrite, Injector, NoFaults, Put,
+};
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
@@ -262,28 +264,33 @@ fn list_segments(dir: &Path) -> Result<Vec<SegmentFile>, WalError> {
 /// (relative to the body) where it starts plus the reason.
 fn parse_frames(body: &[u8]) -> (Vec<Vec<u8>>, Option<(usize, &'static str)>) {
     let mut out = Vec::new();
-    let mut off = 0usize;
-    while off < body.len() {
-        if body.len() - off < FRAME_HEADER_LEN {
-            return (out, Some((off, "partial frame header")));
+    let mut c = Cursor::new(body);
+    while c.remaining() > 0 {
+        let off = body.len() - c.remaining();
+        match next_frame(&mut c) {
+            Ok(payload) => out.push(payload.to_vec()),
+            Err(reason) => return (out, Some((off, reason))),
         }
-        let len = u32::from_le_bytes(body[off..off + 4].try_into().unwrap()) as usize;
-        if len > MAX_RECORD {
-            return (out, Some((off, "frame length exceeds record cap")));
-        }
-        let crc = u32::from_le_bytes(body[off + 4..off + 8].try_into().unwrap());
-        let start = off + FRAME_HEADER_LEN;
-        if body.len() - start < len {
-            return (out, Some((off, "frame shorter than its declared length")));
-        }
-        let payload = &body[start..start + len];
-        if crc32(payload) != crc {
-            return (out, Some((off, "frame checksum mismatch")));
-        }
-        out.push(payload.to_vec());
-        off = start + len;
     }
     (out, None)
+}
+
+/// One `len | crc32 | payload` frame off the front of `c`, or why the bytes
+/// from here on are not one.
+fn next_frame<'a>(c: &mut Cursor<'a>) -> Result<&'a [u8], &'static str> {
+    let (Ok(len), Ok(crc)) = (c.u32(), c.u32()) else {
+        return Err("partial frame header");
+    };
+    if len as usize > MAX_RECORD {
+        return Err("frame length exceeds record cap");
+    }
+    let payload = c
+        .take(len as usize)
+        .map_err(|_| "frame shorter than its declared length")?;
+    if crc32(payload) != crc {
+        return Err("frame checksum mismatch");
+    }
+    Ok(payload)
 }
 
 struct Scan {
@@ -315,10 +322,11 @@ fn scan(dir: &Path, injector: &Arc<dyn Injector>, repair: bool) -> Result<Scan, 
             let mut reader = FaultyRead::new(file, injector.clone(), "wal.open");
             reader.read_to_end(&mut bytes)?;
         }
-        if bytes.len() < HEADER_LEN {
-            // Only a crash during segment creation can leave this, and that
-            // can only be the last segment: drop it and let the writer
-            // recreate it.
+        let mut c = Cursor::new(&bytes);
+        let (Ok(magic), Ok(version), Ok(first_lsn)) = (c.take(4), c.u32(), c.u64()) else {
+            // Only a crash during segment creation can leave a short
+            // header, and that can only be the last segment: drop it and
+            // let the writer recreate it.
             if !is_last {
                 return Err(WalError::Corrupt {
                     segment: seg.path.clone(),
@@ -333,20 +341,18 @@ fn scan(dir: &Path, injector: &Arc<dyn Injector>, repair: bool) -> Result<Scan, 
             }
             next_seq = seg.seq;
             break;
-        }
-        if &bytes[..4] != SEGMENT_MAGIC {
+        };
+        if magic != SEGMENT_MAGIC {
             return Err(WalError::BadMagic {
                 segment: seg.path.clone(),
             });
         }
-        let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
         if version != VERSION {
             return Err(WalError::BadVersion {
                 segment: seg.path.clone(),
                 found: version,
             });
         }
-        let first_lsn = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
         if i == 0 {
             next_lsn = first_lsn;
         } else if first_lsn != next_lsn {
@@ -544,9 +550,9 @@ impl Wal {
 
     fn write_header(&mut self) -> Result<(), WalError> {
         let mut header = Vec::with_capacity(HEADER_LEN);
-        header.extend_from_slice(SEGMENT_MAGIC);
-        header.extend_from_slice(&VERSION.to_le_bytes());
-        header.extend_from_slice(&self.next_lsn.to_le_bytes());
+        header.put_bytes(SEGMENT_MAGIC);
+        header.put_u32(VERSION);
+        header.put_u64(self.next_lsn);
         self.write_through(&header)?;
         self.active_len = HEADER_LEN as u64;
         self.active_frames = 0;
@@ -570,9 +576,9 @@ impl Wal {
             self.rotate()?;
         }
         let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(payload).to_le_bytes());
-        frame.extend_from_slice(payload);
+        frame.put_u32(payload.len() as u32);
+        frame.put_u32(crc32(payload));
+        frame.put_bytes(payload);
         self.write_through(&frame)?;
         let lsn = self.next_lsn;
         self.next_lsn += 1;
