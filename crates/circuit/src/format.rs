@@ -47,10 +47,11 @@ pub enum StoreError {
     /// The file's format version is not [`VERSION`].
     VersionMismatch(u32),
     /// The body is structurally malformed (truncated field, invalid node
-    /// record, out-of-range id, non-decomposable circuit).
+    /// record, out-of-range id, non-decomposable circuit, a circuit variable
+    /// outside the canonical universe).
     Corrupt(String),
-    /// The file decoded cleanly but its canonical clauses are not the
-    /// requested shape (hash collision or mis-filed entry).
+    /// The file decoded cleanly but its canonical clauses or universe size
+    /// are not the requested shape's (hash collision or mis-filed entry).
     ShapeMismatch,
 }
 
@@ -220,6 +221,12 @@ pub fn decode(body: &[u8]) -> Result<EntryData, StoreError> {
         )));
     }
     let circuit = Circuit::from_nodes(nodes).map_err(StoreError::Corrupt)?;
+    if let Some(v) = circuit.support(root).last().filter(|v| v.0 >= n_players) {
+        return Err(StoreError::Corrupt(format!(
+            "circuit var {} out of range (n_players {n_players})",
+            v.0
+        )));
+    }
     let n_limbs = r.count(8)?;
     let limbs = (0..n_limbs).map(|_| r.u64()).collect::<Result<_, _>>()?;
     let model_count = BigNat::from_limbs(limbs);
@@ -317,8 +324,8 @@ mod tests {
         let body = encode(&entry);
         let back = decode(&body).unwrap();
         let universe: Vec<FactId> = (0..4).map(FactId).collect();
-        let a = entry.circuit.count_by_size(entry.root, &universe, None);
-        let b = back.circuit.count_by_size(back.root, &universe, None);
+        let a = entry.circuit.count_by_size(entry.root, &universe);
+        let b = back.circuit.count_by_size(back.root, &universe);
         assert_eq!(a, b);
         assert!(back.circuit.check_invariants(back.root).is_ok());
     }

@@ -12,7 +12,8 @@
 //! yields a typed [`StoreError`], bumps `circuit.store.load_errors`, and
 //! falls back to a fresh compilation that re-persists the entry. The store
 //! never panics on bad bytes and never serves a circuit whose recorded
-//! canonical clauses disagree with the requested shape.
+//! canonical clauses or universe size disagree with the requested shape, or
+//! whose variables leave that universe.
 
 use crate::format::{self, EntryData, StoreError};
 use crate::shape::{CanonicalShape, ShapeKey};
@@ -204,21 +205,35 @@ impl CircuitStore {
                 return entry;
             }
             Ok(None) => {} // no persisted entry — plain miss
-            Err(e) => {
-                self.load_errors.fetch_add(1, Ordering::Relaxed);
-                ls_obs::counter("circuit.store.load_errors").incr();
-                ls_obs::counter(match e {
-                    StoreError::Io(_) => "circuit.store.load_errors.io",
-                    StoreError::BadMagic => "circuit.store.load_errors.magic",
-                    StoreError::VersionMismatch(_) => "circuit.store.load_errors.version",
-                    StoreError::Corrupt(_) => "circuit.store.load_errors.corrupt",
-                    StoreError::ShapeMismatch => "circuit.store.load_errors.shape",
-                })
-                .incr();
-            }
+            Err(e) => self.count_load_error(match e {
+                StoreError::Io(_) => "circuit.store.load_errors.io",
+                StoreError::BadMagic => "circuit.store.load_errors.magic",
+                StoreError::VersionMismatch(_) => "circuit.store.load_errors.version",
+                StoreError::Corrupt(_) => "circuit.store.load_errors.corrupt",
+                StoreError::ShapeMismatch => "circuit.store.load_errors.shape",
+            }),
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         ls_obs::counter("circuit.store.misses").incr();
+        self.compile_and_keep(shape)
+    }
+
+    /// Replace the entry for `shape` after its circuit failed a check only
+    /// scoring makes — a negative marginal count, which no compilation of a
+    /// monotone lineage has: count a load error, compile afresh, and persist
+    /// over the bad file.
+    pub fn recompile(&self, shape: &CanonicalShape) -> Arc<CircuitEntry> {
+        self.count_load_error("circuit.store.load_errors.marginal");
+        self.compile_and_keep(shape)
+    }
+
+    fn count_load_error(&self, kind: &'static str) {
+        self.load_errors.fetch_add(1, Ordering::Relaxed);
+        ls_obs::counter("circuit.store.load_errors").incr();
+        ls_obs::counter(kind).incr();
+    }
+
+    fn compile_and_keep(&self, shape: &CanonicalShape) -> Arc<CircuitEntry> {
         let entry = Arc::new(self.compile_fresh(shape));
         // Best-effort persistence: a full disk must not fail the answer.
         let _ = self.persist(&entry);
@@ -294,7 +309,7 @@ impl CircuitStore {
         reader.read_to_end(&mut bytes)?;
         let body = persist::unseal(&bytes)?;
         let data = format::decode(body)?;
-        if data.clauses != shape.clauses {
+        if data.n_players as usize != shape.n_players() || data.clauses != shape.clauses {
             return Err(StoreError::ShapeMismatch);
         }
         ls_obs::histogram("circuit.load_us").record(start.elapsed().as_secs_f64() * 1e6);

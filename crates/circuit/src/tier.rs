@@ -41,22 +41,12 @@ pub enum Tier {
 }
 
 impl Tier {
-    /// Stable wire name.
+    /// Stable name for logs, tables and telemetry (the wire carries a tag byte).
     pub fn as_str(self) -> &'static str {
         match self {
             Tier::Exact => "exact",
             Tier::Learned => "learned",
             Tier::Sampled => "sampled",
-        }
-    }
-
-    /// Parse a wire name.
-    pub fn from_name(s: &str) -> Option<Tier> {
-        match s {
-            "exact" => Some(Tier::Exact),
-            "learned" => Some(Tier::Learned),
-            "sampled" => Some(Tier::Sampled),
-            _ => None,
         }
     }
 }
@@ -275,13 +265,5 @@ mod tests {
         let roomy = p.choose(WIDE.0, WIDE.1, Duration::from_micros(900), cache(false));
         assert!(roomy.samples > tight.samples);
         assert!(roomy.samples <= p.max_samples);
-    }
-
-    #[test]
-    fn tier_names_round_trip() {
-        for t in [Tier::Exact, Tier::Learned, Tier::Sampled] {
-            assert_eq!(Tier::from_name(t.as_str()), Some(t));
-        }
-        assert_eq!(Tier::from_name("nope"), None);
     }
 }

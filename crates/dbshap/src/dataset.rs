@@ -7,9 +7,10 @@
 //! train/dev/test.
 
 use crate::querygen::{generate_query_log, QueryGenConfig, SchemaSpec};
-use ls_circuit::CircuitStore;
+use ls_circuit::{CanonicalShape, CircuitStore};
+use ls_provenance::Dnf;
 use ls_relational::{evaluate, to_sql, Database, FactId, Query, QueryResult};
-use ls_shapley::{shapley_values_recovered, shapley_values_recovered_stored, FactScores};
+use ls_shapley::{shapley_values, shapley_values_stored, FactScores};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -232,9 +233,10 @@ fn ground_truth(
         if lineage.is_empty() || lineage.len() > cfg.max_lineage {
             return None;
         }
+        let dnf = Dnf::from_recovered(arena, derivations);
         let shapley = match store {
-            Some(s) => shapley_values_recovered_stored(arena, derivations, s),
-            None => shapley_values_recovered(arena, derivations),
+            Some(s) => shapley_values_stored(s, &CanonicalShape::of(&dnf)),
+            None => shapley_values(&dnf),
         };
         debug_assert_eq!(shapley.len(), lineage.len());
         Some(TupleRecord { tuple_idx, shapley })

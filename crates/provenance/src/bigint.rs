@@ -114,10 +114,15 @@ impl BigNat {
     /// Panics if `other > self`; the counting pipeline only subtracts counts
     /// that are provably smaller (monotonicity), so underflow is a bug.
     pub fn sub(&self, other: &BigNat) -> BigNat {
-        assert!(
-            self.cmp(other) != Ordering::Less,
-            "BigNat underflow: {self} - {other}"
-        );
+        self.checked_sub(other)
+            .unwrap_or_else(|| panic!("BigNat underflow: {self} - {other}"))
+    }
+
+    /// `self - other`, or `None` if `other > self`.
+    pub fn checked_sub(&self, other: &BigNat) -> Option<BigNat> {
+        if self.cmp(other) == Ordering::Less {
+            return None;
+        }
         let mut out = Vec::with_capacity(self.limbs.len());
         let mut borrow = 0u64;
         for i in 0..self.limbs.len() {
@@ -131,7 +136,7 @@ impl BigNat {
         debug_assert_eq!(borrow, 0);
         let mut n = BigNat { limbs: out };
         n.normalize();
-        n
+        Some(n)
     }
 
     /// `self * other` (schoolbook; operand sizes here are tiny).
@@ -317,6 +322,15 @@ mod tests {
     #[should_panic(expected = "underflow")]
     fn subtraction_underflow_panics() {
         BigNat::from_u64(1).sub(&BigNat::from_u64(2));
+    }
+
+    #[test]
+    fn checked_subtraction_refuses_underflow() {
+        assert_eq!(BigNat::from_u64(1).checked_sub(&BigNat::from_u64(2)), None);
+        assert_eq!(
+            BigNat::pow2(70).checked_sub(&BigNat::one()),
+            Some(BigNat::from_u128((1u128 << 70) - 1))
+        );
     }
 
     #[test]

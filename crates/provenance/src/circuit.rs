@@ -361,83 +361,99 @@ impl Circuit {
     ///
     /// Returns `counts` with `counts[k]` = number of assignments setting
     /// exactly `k` variables of `universe` to true that satisfy the function
-    /// at `root`, optionally under a conditioning `var := val` (the
-    /// conditioned variable must not be in `universe`).
+    /// at `root`.
     ///
     /// # Panics
-    /// Panics if the root's (unconditioned) support is not contained in
-    /// `universe ∪ {conditioned var}`.
-    pub fn count_by_size(
-        &self,
-        root: NodeId,
-        universe: &[FactId],
-        condition: Option<(FactId, bool)>,
-    ) -> Vec<BigNat> {
-        let cond_var = condition.map(|(v, _)| v);
-        if let Some(cv) = cond_var {
-            assert!(
-                universe.binary_search(&cv).is_err(),
-                "conditioned variable must not be in the universe"
-            );
-        }
+    /// Panics if the root's support is not contained in `universe`.
+    pub fn count_by_size(&self, root: NodeId, universe: &[FactId]) -> Vec<BigNat> {
         for v in self.support(root) {
             assert!(
-                universe.binary_search(v).is_ok() || cond_var == Some(*v),
+                universe.binary_search(v).is_ok(),
                 "support variable {v} missing from universe"
             );
         }
-        // Fast path: every count over a universe of n variables is at most
-        // 2^n, and every intermediate convolution product of two sub-circuit
-        // counts is a count over their (disjoint) union — so for n ≤ 120 the
-        // whole computation fits exactly in u128.
-        if universe.len() <= U128_UNIVERSE_LIMIT {
-            let binom = BinomialsU128::up_to(universe.len() + 1);
-            let mut memo: HashMap<NodeId, Vec<u128>> = HashMap::new();
-            let poly = self.count_rec_u128(root, condition, &mut memo, &binom);
-            let t_root = self.effective_support_len(root, cond_var);
-            let free = universe.len() - t_root;
-            let filled = mul_fill_u128(&poly, free, &binom);
-            let mut out: Vec<BigNat> = filled.into_iter().map(BigNat::from_u128).collect();
-            while out.len() < universe.len() + 1 {
-                out.push(BigNat::zero());
-            }
-            out.truncate(universe.len() + 1);
-            return out;
-        }
-        let mut memo: HashMap<NodeId, Vec<BigNat>> = HashMap::new();
-        let binom = Binomials::up_to(universe.len() + 1);
-        let poly = self.count_rec(root, condition, &mut memo, &binom);
-        // Fill universe variables the root never mentions.
-        let t_root = self.effective_support_len(root, cond_var);
-        let free = universe.len() - t_root;
-        let filled = mul_fill(&poly, free, &binom);
-        pad_to(filled, universe.len() + 1)
+        self.count_base(root, universe.len())
+            .counts(self, root, universe.len(), None)
     }
 
-    fn count_rec_u128(
+    /// The unconditioned counting pass over the circuit at `root`, for
+    /// universes of up to `universe_size` variables: the shared state of
+    /// [`Self::count_by_size_based`]. It counts in `u128` up to
+    /// [`U128_UNIVERSE_LIMIT`] variables and in [`BigNat`] beyond.
+    pub fn count_base(&self, root: NodeId, universe_size: usize) -> CountBase {
+        CountBase(if universe_size <= U128_UNIVERSE_LIMIT {
+            Regime::U128(self.pass(root, universe_size))
+        } else {
+            Regime::Big(self.pass(root, universe_size))
+        })
+    }
+
+    /// [`Self::count_by_size`] of the function conditioned on `var := val`,
+    /// over a `universe` that excludes the conditioned variable. Only nodes
+    /// whose support mentions that variable are recounted; every other node
+    /// reads its count from `base`, which must come from
+    /// [`Self::count_base`] on the same root.
+    pub fn count_by_size_based(
+        &self,
+        root: NodeId,
+        universe: &[FactId],
+        condition: (FactId, bool),
+        base: &CountBase,
+    ) -> Vec<BigNat> {
+        debug_assert!(universe.binary_search(&condition.0).is_err());
+        base.counts(self, root, universe.len(), Some(condition))
+    }
+
+    /// Total model count over `universe` (sum of the cardinality counts).
+    pub fn count_models(&self, root: NodeId, universe: &[FactId]) -> BigNat {
+        self.count_by_size(root, universe)
+            .into_iter()
+            .fold(BigNat::zero(), |acc, c| acc.add(&c))
+    }
+
+    fn pass<T: Coeff>(&self, root: NodeId, universe_size: usize) -> Pass<T> {
+        let pascal = Pascal::up_to(universe_size + 1);
+        let mut memo = HashMap::new();
+        self.count_rec(root, None, &mut memo, &pascal, None);
+        Pass { memo, pascal }
+    }
+
+    /// Counts by cardinality over a universe of `universe_len` variables,
+    /// optionally conditioned, reading unconditioned node counts from `pass`.
+    fn counts_from<T: Coeff>(
+        &self,
+        root: NodeId,
+        universe_len: usize,
+        condition: Option<(FactId, bool)>,
+        pass: &Pass<T>,
+    ) -> Vec<BigNat> {
+        let mut memo = HashMap::new();
+        let poly = self.count_rec(root, condition, &mut memo, &pass.pascal, Some(&pass.memo));
+        let free = universe_len - self.effective_support_len(root, condition.map(|(v, _)| v));
+        let mut out: Vec<BigNat> = mul_fill(&poly, free, &pass.pascal)
+            .into_iter()
+            .map(Coeff::into_big)
+            .collect();
+        out.resize(universe_len + 1, BigNat::zero());
+        out
+    }
+
+    /// The counting recursion: the polynomial `Σ_k count_k · z^k` of the
+    /// node's function over its own support (minus a conditioned variable).
+    /// With a `base`, nodes whose support does not mention the conditioned
+    /// variable (every node, when unconditioned) take their count from it —
+    /// the key optimization when counting the same circuit conditioned on
+    /// every fact in turn (exact Shapley).
+    fn count_rec<T: Coeff>(
         &self,
         id: NodeId,
         condition: Option<(FactId, bool)>,
-        memo: &mut HashMap<NodeId, Vec<u128>>,
-        binom: &BinomialsU128,
-    ) -> Vec<u128> {
-        self.count_rec_u128_based(id, condition, memo, binom, None)
-    }
-
-    /// Like [`Self::count_rec_u128`], but nodes whose support does not
-    /// mention the conditioned variable short-circuit to the shared
-    /// unconditioned `base` memo — the key optimization when counting the
-    /// same circuit conditioned on every fact in turn (exact Shapley).
-    fn count_rec_u128_based(
-        &self,
-        id: NodeId,
-        condition: Option<(FactId, bool)>,
-        memo: &mut HashMap<NodeId, Vec<u128>>,
-        binom: &BinomialsU128,
-        base: Option<&HashMap<NodeId, Vec<u128>>>,
-    ) -> Vec<u128> {
-        if let (Some(b), Some((cv, _))) = (base, condition) {
-            if self.support(id).binary_search(&cv).is_err() {
+        memo: &mut HashMap<NodeId, Vec<T>>,
+        pascal: &Pascal<T>,
+        base: Option<&HashMap<NodeId, Vec<T>>>,
+    ) -> Vec<T> {
+        if let Some(b) = base {
+            if condition.is_none_or(|(cv, _)| self.support(id).binary_search(&cv).is_err()) {
                 if let Some(p) = b.get(&id) {
                     return p.clone();
                 }
@@ -448,23 +464,23 @@ impl Circuit {
         }
         let cond_var = condition.map(|(v, _)| v);
         let poly = match self.node(id) {
-            Node::True => vec![1u128],
+            Node::True => vec![T::one()],
             Node::False => Vec::new(),
             Node::Leaf(v) => match condition {
                 Some((cv, val)) if cv == *v => {
                     if val {
-                        vec![1]
+                        vec![T::one()]
                     } else {
                         Vec::new()
                     }
                 }
-                _ => vec![0, 1],
+                _ => vec![T::zero(), T::one()],
             },
             Node::And(children) => {
-                let mut acc = vec![1u128];
+                let mut acc = vec![T::one()];
                 for &c in children {
-                    let p = self.count_rec_u128_based(c, condition, memo, binom, base);
-                    acc = poly_mul_u128(&acc, &p);
+                    let p = self.count_rec(c, condition, memo, pascal, base);
+                    acc = poly_mul(&acc, &p);
                     if acc.is_empty() {
                         break;
                     }
@@ -474,46 +490,39 @@ impl Circuit {
             Node::DisjointOr(children) => {
                 // NonSat(z) = Π_j ((1+z)^{t_j} − Sat_j(z));
                 // Sat(z) = (1+z)^{t_self} − NonSat(z).
-                let mut non = vec![1u128];
+                let mut non = vec![T::one()];
                 for &c in children {
-                    let p = self.count_rec_u128_based(c, condition, memo, binom, base);
+                    let p = self.count_rec(c, condition, memo, pascal, base);
                     let t_c = self.effective_support_len(c, cond_var);
-                    let row = binom.row(t_c);
-                    let non_c: Vec<u128> = (0..=t_c)
-                        .map(|i| row[i] - p.get(i).copied().unwrap_or(0))
-                        .collect();
-                    non = poly_mul_u128(&non, &non_c);
+                    non = poly_mul(&non, &complement(&p, pascal.row(t_c)));
                 }
                 let t_self = self.effective_support_len(id, cond_var);
-                let row = binom.row(t_self);
-                (0..=t_self)
-                    .map(|i| row[i] - non.get(i).copied().unwrap_or(0))
-                    .collect()
+                complement(&non, pascal.row(t_self))
             }
             Node::Decision { var, hi, lo } => {
                 let t_self = self.effective_support_len(id, cond_var);
                 match condition {
                     Some((cv, val)) if cv == *var => {
                         let b = if val { *hi } else { *lo };
-                        let p = self.count_rec_u128_based(b, condition, memo, binom, base);
+                        let p = self.count_rec(b, condition, memo, pascal, base);
                         let missing = t_self - self.effective_support_len(b, cond_var);
-                        mul_fill_u128(&p, missing, binom)
+                        mul_fill(&p, missing, pascal)
                     }
                     _ => {
-                        let p_hi = self.count_rec_u128_based(*hi, condition, memo, binom, base);
-                        let p_lo = self.count_rec_u128_based(*lo, condition, memo, binom, base);
+                        let p_hi = self.count_rec(*hi, condition, memo, pascal, base);
+                        let p_lo = self.count_rec(*lo, condition, memo, pascal, base);
                         let miss_hi = t_self - 1 - self.effective_support_len(*hi, cond_var);
                         let miss_lo = t_self - 1 - self.effective_support_len(*lo, cond_var);
-                        let mut hi_part = mul_fill_u128(&p_hi, miss_hi, binom);
-                        hi_part.insert(0, 0); // × z for var = true
-                        let lo_part = mul_fill_u128(&p_lo, miss_lo, binom);
-                        let n = hi_part.len().max(lo_part.len());
-                        (0..n)
-                            .map(|i| {
-                                hi_part.get(i).copied().unwrap_or(0)
-                                    + lo_part.get(i).copied().unwrap_or(0)
-                            })
-                            .collect()
+                        let mut hi_part = mul_fill(&p_hi, miss_hi, pascal);
+                        hi_part.insert(0, T::zero()); // × z for var = true
+                        let mut sum = mul_fill(&p_lo, miss_lo, pascal);
+                        if sum.len() < hi_part.len() {
+                            sum.resize(hi_part.len(), T::zero());
+                        }
+                        for (s, h) in sum.iter_mut().zip(&hi_part) {
+                            s.plus(h);
+                        }
+                        sum
                     }
                 }
             }
@@ -530,323 +539,187 @@ impl Circuit {
             _ => s.len(),
         }
     }
+}
 
-    fn count_rec(
-        &self,
-        id: NodeId,
-        condition: Option<(FactId, bool)>,
-        memo: &mut HashMap<NodeId, Vec<BigNat>>,
-        binom: &Binomials,
-    ) -> Vec<BigNat> {
-        if let Some(p) = memo.get(&id) {
-            return p.clone();
-        }
-        let cond_var = condition.map(|(v, _)| v);
-        let poly = match self.node(id) {
-            Node::True => vec![BigNat::one()],
-            Node::False => Vec::new(),
-            Node::Leaf(v) => match condition {
-                Some((cv, val)) if cv == *v => {
-                    if val {
-                        vec![BigNat::one()]
-                    } else {
-                        Vec::new()
-                    }
-                }
-                _ => vec![BigNat::zero(), BigNat::one()],
-            },
-            Node::And(children) => {
-                let mut acc = vec![BigNat::one()];
-                for &c in children {
-                    let p = self.count_rec(c, condition, memo, binom);
-                    acc = poly_mul(&acc, &p);
-                    if acc.is_empty() {
-                        break;
-                    }
-                }
-                acc
-            }
-            Node::DisjointOr(children) => {
-                // See the u128 path: complement product.
-                let mut non = vec![BigNat::one()];
-                for &c in children {
-                    let p = self.count_rec(c, condition, memo, binom);
-                    let t_c = self.effective_support_len(c, cond_var);
-                    let row = binom.row(t_c);
-                    let non_c: Vec<BigNat> = (0..=t_c)
-                        .map(|i| {
-                            let sat = p.get(i).cloned().unwrap_or_else(BigNat::zero);
-                            row[i].sub(&sat)
-                        })
-                        .collect();
-                    non = poly_mul(&non, &non_c);
-                }
-                let t_self = self.effective_support_len(id, cond_var);
-                let row = binom.row(t_self);
-                (0..=t_self)
-                    .map(|i| {
-                        let nm = non.get(i).cloned().unwrap_or_else(BigNat::zero);
-                        row[i].sub(&nm)
-                    })
-                    .collect()
-            }
-            Node::Decision { var, hi, lo } => {
-                let t_self = self.effective_support_len(id, cond_var);
-                match condition {
-                    Some((cv, val)) if cv == *var => {
-                        let b = if val { *hi } else { *lo };
-                        let p = self.count_rec(b, condition, memo, binom);
-                        let missing = t_self - self.effective_support_len(b, cond_var);
-                        mul_fill(&p, missing, binom)
-                    }
-                    _ => {
-                        let p_hi = self.count_rec(*hi, condition, memo, binom);
-                        let p_lo = self.count_rec(*lo, condition, memo, binom);
-                        // hi branch: var is true (one z), free vars filled.
-                        let miss_hi = t_self - 1 - self.effective_support_len(*hi, cond_var);
-                        let miss_lo = t_self - 1 - self.effective_support_len(*lo, cond_var);
-                        let mut hi_part = mul_fill(&p_hi, miss_hi, binom);
-                        hi_part.insert(0, BigNat::zero()); // × z for var = true
-                        let lo_part = mul_fill(&p_lo, miss_lo, binom);
-                        poly_add(&hi_part, &lo_part)
-                    }
-                }
-            }
-        };
-        memo.insert(id, poly.clone());
-        poly
+/// Universe-size cutoff up to which counting runs in exact `u128`
+/// arithmetic (all counts ≤ 2^n and all convolution intermediates stay
+/// counts, so n ≤ 120 cannot overflow).
+pub const U128_UNIVERSE_LIMIT: usize = 120;
+
+/// A coefficient of the counting polynomials. Both instances count exactly;
+/// `u128` is the fast one and holds every count of a universe of at most
+/// [`U128_UNIVERSE_LIMIT`] variables.
+trait Coeff: Clone {
+    fn zero() -> Self;
+    fn one() -> Self;
+    fn is_zero(&self) -> bool;
+    /// `self += other`.
+    fn plus(&mut self, other: &Self);
+    /// `self += a · b`.
+    fn plus_product(&mut self, a: &Self, b: &Self);
+    /// `self − other`; never negative on a well-formed circuit.
+    fn minus(&self, other: &Self) -> Self;
+    fn into_big(self) -> BigNat;
+}
+
+impl Coeff for u128 {
+    fn zero() -> Self {
+        0
     }
-
-    /// Precompute the shared unconditioned memo used by
-    /// [`Self::count_by_size_based`]. Returns `None` outside the u128
-    /// fast-path regime (`universe_size > U128_UNIVERSE_LIMIT`).
-    pub fn count_base(&self, root: NodeId, universe_size: usize) -> Option<CountBase> {
-        if universe_size > U128_UNIVERSE_LIMIT {
-            return None;
-        }
-        let binom = BinomialsU128::up_to(universe_size + 1);
-        let mut memo = HashMap::new();
-        let _ = self.count_rec_u128(root, None, &mut memo, &binom);
-        Some(CountBase { memo, binom })
+    fn one() -> Self {
+        1
     }
-
-    /// [`Self::count_by_size`] with conditioning, reusing a precomputed
-    /// [`CountBase`]: only nodes whose support mentions the conditioned fact
-    /// are recomputed.
-    pub fn count_by_size_based(
-        &self,
-        root: NodeId,
-        universe: &[FactId],
-        condition: (FactId, bool),
-        base: &CountBase,
-    ) -> Vec<BigNat> {
-        debug_assert!(universe.binary_search(&condition.0).is_err());
-        let mut memo: HashMap<NodeId, Vec<u128>> = HashMap::new();
-        let poly = self.count_rec_u128_based(
-            root,
-            Some(condition),
-            &mut memo,
-            &base.binom,
-            Some(&base.memo),
-        );
-        let t_root = self.effective_support_len(root, Some(condition.0));
-        let free = universe.len() - t_root;
-        let filled = mul_fill_u128(&poly, free, &base.binom);
-        let mut out: Vec<BigNat> = filled.into_iter().map(BigNat::from_u128).collect();
-        while out.len() < universe.len() + 1 {
-            out.push(BigNat::zero());
-        }
-        out.truncate(universe.len() + 1);
-        out
+    #[inline]
+    fn is_zero(&self) -> bool {
+        *self == 0
     }
+    #[inline]
+    fn plus(&mut self, other: &Self) {
+        *self += other;
+    }
+    #[inline]
+    fn plus_product(&mut self, a: &Self, b: &Self) {
+        *self += a * b;
+    }
+    #[inline]
+    fn minus(&self, other: &Self) -> Self {
+        self - other
+    }
+    fn into_big(self) -> BigNat {
+        BigNat::from_u128(self)
+    }
+}
 
-    /// Total model count over `universe` (sum of the cardinality counts).
-    pub fn count_models(&self, root: NodeId, universe: &[FactId]) -> BigNat {
-        self.count_by_size(root, universe, None)
-            .into_iter()
-            .fold(BigNat::zero(), |acc, c| acc.add(&c))
+impl Coeff for BigNat {
+    fn zero() -> Self {
+        BigNat::zero()
+    }
+    fn one() -> Self {
+        BigNat::one()
+    }
+    fn is_zero(&self) -> bool {
+        BigNat::is_zero(self)
+    }
+    fn plus(&mut self, other: &Self) {
+        *self = BigNat::add(self, other);
+    }
+    fn plus_product(&mut self, a: &Self, b: &Self) {
+        if !b.is_zero() {
+            *self = BigNat::add(self, &a.mul(b));
+        }
+    }
+    fn minus(&self, other: &Self) -> Self {
+        self.sub(other)
+    }
+    fn into_big(self) -> BigNat {
+        self
     }
 }
 
 /// Polynomial product (coefficients by cardinality). Empty vec = zero.
-fn poly_mul(a: &[BigNat], b: &[BigNat]) -> Vec<BigNat> {
+fn poly_mul<T: Coeff>(a: &[T], b: &[T]) -> Vec<T> {
     if a.is_empty() || b.is_empty() {
         return Vec::new();
     }
-    let mut out = vec![BigNat::zero(); a.len() + b.len() - 1];
+    let mut out = vec![T::zero(); a.len() + b.len() - 1];
     for (i, ca) in a.iter().enumerate() {
         if ca.is_zero() {
             continue;
         }
         for (j, cb) in b.iter().enumerate() {
-            if cb.is_zero() {
-                continue;
-            }
-            out[i + j] = out[i + j].add(&ca.mul(cb));
+            out[i + j].plus_product(ca, cb);
         }
     }
     out
 }
 
-/// Polynomial sum.
-fn poly_add(a: &[BigNat], b: &[BigNat]) -> Vec<BigNat> {
-    let n = a.len().max(b.len());
-    let mut out = Vec::with_capacity(n);
-    for i in 0..n {
-        let ca = a.get(i).cloned().unwrap_or_else(BigNat::zero);
-        let cb = b.get(i).cloned().unwrap_or_else(BigNat::zero);
-        out.push(ca.add(&cb));
-    }
-    out
-}
-
-/// Multiply by `(1+z)^k` — fills `k` unconstrained variables. Binomial rows
-/// come from a [`Binomials`] cache built once per counting pass.
-fn mul_fill(p: &[BigNat], k: usize, binom: &Binomials) -> Vec<BigNat> {
+/// Multiply by `(1+z)^k` — fills `k` unconstrained variables.
+fn mul_fill<T: Coeff>(p: &[T], k: usize, pascal: &Pascal<T>) -> Vec<T> {
     if k == 0 || p.is_empty() {
         return p.to_vec();
     }
-    let row = binom.row(k);
-    let mut out = vec![BigNat::zero(); p.len() + k];
-    for (i, c) in p.iter().enumerate() {
-        if c.is_zero() {
-            continue;
-        }
-        for (j, b) in row.iter().enumerate() {
-            out[i + j] = out[i + j].add(&c.mul(b));
-        }
-    }
-    out
+    poly_mul(p, pascal.row(k))
 }
 
-/// Universe-size cutoff below which counting runs in exact `u128`
-/// arithmetic (all counts ≤ 2^n and all convolution intermediates stay
-/// counts, so n ≤ 120 cannot overflow).
-pub const U128_UNIVERSE_LIMIT: usize = 120;
-
-fn poly_mul_u128(a: &[u128], b: &[u128]) -> Vec<u128> {
-    if a.is_empty() || b.is_empty() {
-        return Vec::new();
-    }
-    let mut out = vec![0u128; a.len() + b.len() - 1];
-    for (i, &ca) in a.iter().enumerate() {
-        if ca == 0 {
-            continue;
-        }
-        for (j, &cb) in b.iter().enumerate() {
-            out[i + j] += ca * cb;
-        }
-    }
-    out
-}
-
-fn mul_fill_u128(p: &[u128], k: usize, binom: &BinomialsU128) -> Vec<u128> {
-    if k == 0 || p.is_empty() {
-        return p.to_vec();
-    }
-    let row = binom.row(k);
-    let mut out = vec![0u128; p.len() + k];
-    for (i, &c) in p.iter().enumerate() {
-        if c == 0 {
-            continue;
-        }
-        for (j, &b) in row.iter().enumerate() {
-            out[i + j] += c * b;
-        }
-    }
-    out
+/// `row(z) − p(z)`: the non-models of `p` given the models `row` of all
+/// assignments over the same support.
+fn complement<T: Coeff>(p: &[T], row: &[T]) -> Vec<T> {
+    let zero = T::zero();
+    row.iter()
+        .enumerate()
+        .map(|(i, r)| r.minus(p.get(i).unwrap_or(&zero)))
+        .collect()
 }
 
 /// Shared unconditioned counting state for repeated conditioned counts over
 /// one circuit (see [`Circuit::count_base`]).
 #[derive(Debug)]
-pub struct CountBase {
-    memo: HashMap<NodeId, Vec<u128>>,
-    binom: BinomialsU128,
-}
+pub struct CountBase(Regime);
 
-/// Pascal rows in `u128` (valid to n = 120 within the fast-path regime).
 #[derive(Debug)]
-pub struct BinomialsU128 {
-    rows: Vec<Vec<u128>>,
+enum Regime {
+    U128(Pass<u128>),
+    Big(Pass<BigNat>),
 }
 
-impl BinomialsU128 {
-    /// Pascal rows `0..=n`.
-    pub fn up_to(n: usize) -> Self {
-        let mut rows: Vec<Vec<u128>> = Vec::with_capacity(n + 1);
-        rows.push(vec![1]);
-        for k in 1..=n {
-            let prev = &rows[k - 1];
-            let mut row = Vec::with_capacity(k + 1);
-            row.push(1u128);
-            for i in 1..k {
-                row.push(prev[i - 1] + prev[i]);
-            }
-            row.push(1);
-            rows.push(row);
+impl CountBase {
+    fn counts(
+        &self,
+        circuit: &Circuit,
+        root: NodeId,
+        universe_len: usize,
+        condition: Option<(FactId, bool)>,
+    ) -> Vec<BigNat> {
+        match &self.0 {
+            Regime::U128(pass) => circuit.counts_from(root, universe_len, condition, pass),
+            Regime::Big(pass) => circuit.counts_from(root, universe_len, condition, pass),
         }
-        BinomialsU128 { rows }
-    }
-
-    /// Row `k`.
-    pub fn row(&self, k: usize) -> &[u128] {
-        &self.rows[k]
     }
 }
 
-/// Pascal-triangle cache of binomial coefficient rows.
+/// One unconditioned pass: every visited node's counts, and the Pascal rows
+/// it used.
 #[derive(Debug)]
-pub struct Binomials {
-    rows: Vec<Vec<BigNat>>,
+struct Pass<T> {
+    memo: HashMap<NodeId, Vec<T>>,
+    pascal: Pascal<T>,
 }
 
-impl Binomials {
-    /// Compute all rows `C(0,·) .. C(n,·)` by the Pascal recurrence
-    /// (addition-only, exact).
-    pub fn up_to(n: usize) -> Self {
-        let mut rows: Vec<Vec<BigNat>> = Vec::with_capacity(n + 1);
-        rows.push(vec![BigNat::one()]);
+/// Pascal-triangle rows `C(0,·) .. C(n,·)`, by the addition-only recurrence.
+#[derive(Debug)]
+struct Pascal<T> {
+    rows: Vec<Vec<T>>,
+}
+
+impl<T: Coeff> Pascal<T> {
+    fn up_to(n: usize) -> Self {
+        let mut rows: Vec<Vec<T>> = Vec::with_capacity(n + 1);
+        rows.push(vec![T::one()]);
         for k in 1..=n {
             let prev = &rows[k - 1];
             let mut row = Vec::with_capacity(k + 1);
-            row.push(BigNat::one());
+            row.push(T::one());
             for i in 1..k {
-                row.push(prev[i - 1].add(&prev[i]));
+                let mut c = prev[i - 1].clone();
+                c.plus(&prev[i]);
+                row.push(c);
             }
-            row.push(BigNat::one());
+            row.push(T::one());
             rows.push(row);
         }
-        Binomials { rows }
+        Pascal { rows }
     }
 
     /// Row `k`: `[C(k,0), …, C(k,k)]`.
-    pub fn row(&self, k: usize) -> &[BigNat] {
+    fn row(&self, k: usize) -> &[T] {
         &self.rows[k]
     }
-
-    /// `C(n, k)` (zero when `k > n`).
-    pub fn binom(&self, n: usize, k: usize) -> BigNat {
-        if k > n {
-            BigNat::zero()
-        } else {
-            self.rows[n][k].clone()
-        }
-    }
-}
-
-/// Pad a polynomial with zero coefficients up to `len`.
-fn pad_to(mut p: Vec<BigNat>, len: usize) -> Vec<BigNat> {
-    while p.len() < len {
-        p.push(BigNat::zero());
-    }
-    p.truncate(len);
-    p
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn f(i: u32) -> FactId {
         FactId(i)
@@ -859,7 +732,7 @@ mod tests {
         let l0 = c.mk_leaf(f(0));
         let l1 = c.mk_leaf(f(1));
         let root = c.mk_and(vec![l0, l1]);
-        let counts = c.count_by_size(root, &[f(0), f(1)], None);
+        let counts = c.count_by_size(root, &[f(0), f(1)]);
         // Only {x0, x1} satisfies: one model of size 2.
         assert_eq!(
             counts.iter().map(BigNat::to_f64).collect::<Vec<_>>(),
@@ -875,7 +748,7 @@ mod tests {
         let t = c.mk_true();
         let l1 = c.mk_leaf(f(1));
         let root = c.mk_decision(f(0), t, l1);
-        let counts = c.count_by_size(root, &[f(0), f(1)], None);
+        let counts = c.count_by_size(root, &[f(0), f(1)]);
         // Satisfying: {x0}, {x1}, {x0,x1} → sizes 1,1,2.
         assert_eq!(
             counts.iter().map(BigNat::to_f64).collect::<Vec<_>>(),
@@ -888,7 +761,7 @@ mod tests {
         let mut c = Circuit::new();
         let root = c.mk_leaf(f(0));
         // Universe has an extra free variable x1.
-        let counts = c.count_by_size(root, &[f(0), f(1)], None);
+        let counts = c.count_by_size(root, &[f(0), f(1)]);
         // Models: {x0} (size 1), {x0,x1} (size 2).
         assert_eq!(
             counts.iter().map(BigNat::to_f64).collect::<Vec<_>>(),
@@ -902,12 +775,13 @@ mod tests {
         let l0 = c.mk_leaf(f(0));
         let l1 = c.mk_leaf(f(1));
         let root = c.mk_and(vec![l0, l1]);
-        let on = c.count_by_size(root, &[f(1)], Some((f(0), true)));
+        let base = c.count_base(root, 2);
+        let on = c.count_by_size_based(root, &[f(1)], (f(0), true), &base);
         assert_eq!(
             on.iter().map(BigNat::to_f64).collect::<Vec<_>>(),
             vec![0.0, 1.0]
         );
-        let off = c.count_by_size(root, &[f(1)], Some((f(0), false)));
+        let off = c.count_by_size_based(root, &[f(1)], (f(0), false), &base);
         assert_eq!(
             off.iter().map(BigNat::to_f64).collect::<Vec<_>>(),
             vec![0.0, 0.0]
@@ -920,13 +794,14 @@ mod tests {
         let t = c.mk_true();
         let l1 = c.mk_leaf(f(1));
         let root = c.mk_decision(f(0), t, l1); // x0 ∨ x1
-        let on = c.count_by_size(root, &[f(1)], Some((f(0), true)));
+        let base = c.count_base(root, 2);
+        let on = c.count_by_size_based(root, &[f(1)], (f(0), true), &base);
         // x0=1 → formula true: models over {x1} = {}, {x1}.
         assert_eq!(
             on.iter().map(BigNat::to_f64).collect::<Vec<_>>(),
             vec![1.0, 1.0]
         );
-        let off = c.count_by_size(root, &[f(1)], Some((f(0), false)));
+        let off = c.count_by_size_based(root, &[f(1)], (f(0), false), &base);
         // x0=0 → formula = x1.
         assert_eq!(
             off.iter().map(BigNat::to_f64).collect::<Vec<_>>(),
@@ -989,8 +864,8 @@ mod tests {
     fn binomial_fill_is_exact_for_large_k() {
         // (1+z)^64 total = 2^64, exceeding u64.
         let p = vec![BigNat::one()];
-        let binom = Binomials::up_to(64);
-        let filled = mul_fill(&p, 64, &binom);
+        let pascal = Pascal::up_to(64);
+        let filled = mul_fill(&p, 64, &pascal);
         let total = filled.iter().fold(BigNat::zero(), |a, c| a.add(c));
         assert_eq!(total, BigNat::pow2(64));
         // Middle coefficient C(64,32) is correct.
@@ -1014,15 +889,66 @@ mod tests {
     }
 
     #[test]
-    fn binomials_match_known_values() {
-        let b = Binomials::up_to(10);
-        assert_eq!(b.binom(10, 5).to_f64(), 252.0);
-        assert_eq!(b.binom(10, 0).to_f64(), 1.0);
-        assert_eq!(b.binom(10, 10).to_f64(), 1.0);
-        assert_eq!(b.binom(4, 7).to_f64(), 0.0);
+    fn pascal_rows_match_known_values() {
+        let b = Pascal::<BigNat>::up_to(10);
+        assert_eq!(b.row(10)[5].to_f64(), 252.0);
+        assert_eq!(b.row(10)[0].to_f64(), 1.0);
+        assert_eq!(b.row(10)[10].to_f64(), 1.0);
         assert_eq!(
             b.row(3).iter().map(BigNat::to_f64).collect::<Vec<_>>(),
             vec![1.0, 3.0, 3.0, 1.0]
         );
+    }
+
+    /// A random monotone DNF over `0..n_vars` whose compiled circuit the
+    /// two coefficient instances both count.
+    fn random_dnf() -> impl Strategy<Value = crate::Dnf> {
+        (
+            1u32..=120,
+            proptest::collection::vec(proptest::collection::vec(any::<u32>(), 1..5), 1..24),
+        )
+            .prop_map(|(n_vars, clauses)| {
+                crate::Dnf::from_monomials(
+                    clauses
+                        .into_iter()
+                        .map(|ids| {
+                            ls_relational::Monomial::from_facts(
+                                ids.into_iter().map(|i| FactId(i % n_vars)).collect(),
+                            )
+                        })
+                        .collect(),
+                )
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The `u128` and `BigNat` instances of the one recursion give the
+        /// same counts, unconditioned and conditioned each way, on universes
+        /// up to the `u128` limit (padded with free variables to reach it).
+        #[test]
+        fn u128_and_bignat_instances_agree(d in random_dnf(), pad in 0usize..=120, pick in any::<usize>()) {
+            let compiled = crate::compile(&d, crate::CompileOptions::default());
+            let (c, root) = (&compiled.circuit, compiled.root);
+            let mut universe = d.variables();
+            let top = universe.last().map_or(0, |v| v.0 + 1);
+            let n = (universe.len() + pad).min(U128_UNIVERSE_LIMIT);
+            universe.extend((top..).take(n - universe.len()).map(FactId));
+            let small: Pass<u128> = c.pass(root, universe.len());
+            let big: Pass<BigNat> = c.pass(root, universe.len());
+            prop_assert_eq!(
+                c.counts_from(root, universe.len(), None, &small),
+                c.counts_from(root, universe.len(), None, &big)
+            );
+            let var = universe[pick % universe.len()];
+            let others = universe.len() - 1;
+            for val in [true, false] {
+                prop_assert_eq!(
+                    c.counts_from(root, others, Some((var, val)), &small),
+                    c.counts_from(root, others, Some((var, val)), &big)
+                );
+            }
+        }
     }
 }

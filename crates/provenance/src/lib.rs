@@ -19,7 +19,7 @@
 //! ]);
 //! let compiled = compile(&dnf, CompileOptions::default());
 //! let universe = dnf.variables();
-//! let counts = compiled.circuit.count_by_size(compiled.root, &universe, None);
+//! let counts = compiled.circuit.count_by_size(compiled.root, &universe);
 //! // Satisfying subsets: {a,b}, {a,c}, {a,b,c} → by size: 0,0,2,1.
 //! let as_f64: Vec<f64> = counts.iter().map(|c| c.to_f64()).collect();
 //! assert_eq!(as_f64, vec![0.0, 0.0, 2.0, 1.0]);
@@ -35,7 +35,7 @@ pub mod expr;
 pub mod tseytin;
 
 pub use bigint::BigNat;
-pub use circuit::{Binomials, Circuit, Node, NodeId};
+pub use circuit::{Circuit, Node, NodeId};
 pub use compiler::{compile, CompileOptions, CompileStats, Compiled, VarOrder};
 pub use dot::circuit_to_dot;
 pub use expr::Dnf;

@@ -55,7 +55,7 @@ proptest! {
     fn counting_matches_bruteforce(d in small_dnf()) {
         let c = compile(&d, CompileOptions::default());
         let vars = d.variables();
-        let counts = c.circuit.count_by_size(c.root, &vars, None);
+        let counts = c.circuit.count_by_size(c.root, &vars);
         let mut expected = vec![0u64; vars.len() + 1];
         for assignment in all_assignments(&vars) {
             if d.eval_sorted(&assignment) {
@@ -76,7 +76,8 @@ proptest! {
         let var = vars[var_pick % vars.len()];
         let others: Vec<FactId> = vars.iter().copied().filter(|&v| v != var).collect();
         let c = compile(&d, CompileOptions::default());
-        let counts = c.circuit.count_by_size(c.root, &others, Some((var, val)));
+        let base = c.circuit.count_base(c.root, vars.len());
+        let counts = c.circuit.count_by_size_based(c.root, &others, (var, val), &base);
         let conditioned = d.condition(var, val);
         let mut expected = vec![0u64; others.len() + 1];
         for assignment in all_assignments(&others) {
@@ -129,8 +130,8 @@ proptest! {
             CompileOptions { var_order: VarOrder::Lexicographic, ..Default::default() },
         );
         let vars = d.variables();
-        let ca = a.circuit.count_by_size(a.root, &vars, None);
-        let cb = b.circuit.count_by_size(b.root, &vars, None);
+        let ca = a.circuit.count_by_size(a.root, &vars);
+        let cb = b.circuit.count_by_size(b.root, &vars);
         let fa: Vec<f64> = ca.iter().map(|c| c.to_f64()).collect();
         let fb: Vec<f64> = cb.iter().map(|c| c.to_f64()).collect();
         prop_assert_eq!(fa, fb);

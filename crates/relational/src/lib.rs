@@ -62,7 +62,7 @@ pub use results::{
 };
 pub use row::IdRow;
 pub use schema::{Catalog, Column, TableSchema};
-pub use semiring::{Counting, DnfTag, MonotoneDnf, Probabilistic, Provenance, TopKClauses};
+pub use semiring::{Counting, DnfTag, MonotoneDnf, Provenance, TopKClauses};
 pub use sql::parser::{parse_query, ParseError};
 pub use sql::printer::to_sql;
 pub use table::{Row, Table};

@@ -209,7 +209,7 @@ pub fn evaluate_interned(db: &Database, q: &Query) -> Result<InternedResult, Eva
 mod tests {
     use super::*;
     use crate::schema::TableSchema;
-    use crate::semiring::{Counting, Probabilistic, TopKClauses};
+    use crate::semiring::{Counting, TopKClauses};
     use crate::sql::parser::parse_query;
     use crate::value::ColType;
 
@@ -339,27 +339,6 @@ mod tests {
             // Q_INF produces no duplicate-collapsing joins, so multiplicity
             // equals the number of minimal derivations here.
             assert_eq!(*n, t.derivations.len() as u64);
-        }
-    }
-
-    #[test]
-    fn probabilistic_semiring_on_running_example() {
-        let db = figure1_db();
-        let q = parse_query(Q_INF).unwrap();
-        let mut prob = Probabilistic::new(1.0);
-        let rows = evaluate_with(&db, &q, &mut prob).unwrap();
-        // With every fact certain, every derivable tuple has probability 1.
-        assert_eq!(rows.len(), 3);
-        for (_, tag) in &rows {
-            assert_eq!(prob.recover_fn(tag), 1.0);
-        }
-        // With facts at p = 0.5, probabilities drop strictly below 1 and stay
-        // positive.
-        let mut half = Probabilistic::new(0.5);
-        let rows = evaluate_with(&db, &q, &mut half).unwrap();
-        for (_, tag) in &rows {
-            let p = half.recover_fn(tag);
-            assert!(p > 0.0 && p < 1.0, "p = {p}");
         }
     }
 

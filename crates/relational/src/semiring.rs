@@ -4,9 +4,8 @@
 //! [`Provenance`] trait and threads an opaque `Tag` through scans, joins,
 //! selections, unions and the final group-by. An instance decides what a tag
 //! *is*: a hash-consed monotone-DNF clause set ([`MonotoneDnf`], the default),
-//! a natural-number multiplicity ([`Counting`]), a success probability over
-//! independent facts ([`Probabilistic`]), or a width-bounded clause set
-//! ([`TopKClauses`]). Adding a semiring requires zero changes to the
+//! a natural-number multiplicity ([`Counting`]), or a width-bounded clause
+//! set ([`TopKClauses`]). Adding a semiring requires zero changes to the
 //! evaluator — implement the trait and instantiate `evaluate_with`.
 //!
 //! The shape follows Scallop's provenance framework (see the
@@ -18,7 +17,6 @@
 
 use crate::arena::{LineageArena, MonoRef};
 use crate::fact::FactId;
-use crate::hash::FxHashMap;
 
 /// A provenance semiring: the algebra the evaluator threads through a query.
 ///
@@ -31,9 +29,9 @@ use crate::hash::FxHashMap;
 /// * `saturate` is idempotent and preserves the recovered value.
 ///
 /// `mult` for the clause-based instances is commutative only up to clause
-/// *order*; absorption (`a + a·b = a`) holds for the lattice-like instances
-/// (`MonotoneDnf`, `TopKClauses`, `Probabilistic`) but deliberately **not**
-/// for [`Counting`], which tracks multiplicity rather than possibility.
+/// *order*; absorption (`a + a·b = a`) holds for the clause instances
+/// (`MonotoneDnf`, `TopKClauses`) but deliberately **not** for
+/// [`Counting`], which tracks multiplicity rather than possibility.
 ///
 /// Methods take `&mut self` because instances may own interning state (the
 /// [`LineageArena`] behind the clause instances).
@@ -264,134 +262,6 @@ impl Provenance for Counting {
     }
 }
 
-/// Top-down exact probability over independent facts.
-///
-/// Tags are monotone-DNF clause sets (delegated to an inner [`MonotoneDnf`]);
-/// `recover_fn` computes `P(φ)` by Shannon expansion on the most frequent
-/// fact, with a product fast path for single clauses. Exact inference is
-/// #P-hard in general — worst case exponential in lineage width — which is
-/// precisely the cost profile [`TopKClauses`] exists to bound.
-#[derive(Debug, Default)]
-pub struct Probabilistic {
-    dnf: MonotoneDnf,
-    probs: FxHashMap<FactId, f64>,
-    default_p: f64,
-}
-
-impl Probabilistic {
-    /// An instance where every fact holds with probability `default_p`.
-    pub fn new(default_p: f64) -> Self {
-        Probabilistic {
-            dnf: MonotoneDnf::new(),
-            probs: FxHashMap::default(),
-            default_p,
-        }
-    }
-
-    /// Override the probability of one fact.
-    pub fn set_prob(&mut self, f: FactId, p: f64) {
-        self.probs.insert(f, p);
-    }
-
-    /// The probability of fact `f`.
-    pub fn fact_prob(&self, f: FactId) -> f64 {
-        self.probs.get(&f).copied().unwrap_or(self.default_p)
-    }
-
-    /// The underlying arena.
-    pub fn arena(&self) -> &LineageArena {
-        self.dnf.arena()
-    }
-
-    /// Exact `P(⋁ᵢ ⋀ clauses[i])` by Shannon expansion.
-    fn success_prob(&self, clauses: &[Vec<FactId>]) -> f64 {
-        if clauses.is_empty() {
-            return 0.0;
-        }
-        if clauses.iter().any(Vec::is_empty) {
-            return 1.0;
-        }
-        if clauses.len() == 1 {
-            return clauses[0].iter().map(|&f| self.fact_prob(f)).product();
-        }
-        // Condition on the most frequent fact (smallest id on ties, for
-        // determinism): P(φ) = p·P(φ|f) + (1−p)·P(φ|¬f).
-        let mut counts: FxHashMap<FactId, u32> = FxHashMap::default();
-        for c in clauses {
-            for &f in c {
-                *counts.entry(f).or_insert(0) += 1;
-            }
-        }
-        let pivot = counts
-            .iter()
-            .map(|(&f, &n)| (n, std::cmp::Reverse(f)))
-            .max()
-            .map(|(_, std::cmp::Reverse(f))| f)
-            .expect("non-empty clauses have facts");
-        let p = self.fact_prob(pivot);
-        let pos: Vec<Vec<FactId>> = clauses
-            .iter()
-            .map(|c| c.iter().copied().filter(|&f| f != pivot).collect())
-            .collect();
-        let neg: Vec<Vec<FactId>> = clauses
-            .iter()
-            .filter(|c| !c.contains(&pivot))
-            .cloned()
-            .collect();
-        p * self.success_prob(&pos) + (1.0 - p) * self.success_prob(&neg)
-    }
-}
-
-impl Provenance for Probabilistic {
-    type Tag = DnfTag;
-    type Output = f64;
-
-    fn name(&self) -> &'static str {
-        "probabilistic"
-    }
-
-    fn zero(&mut self) -> DnfTag {
-        self.dnf.zero()
-    }
-
-    fn one(&mut self) -> DnfTag {
-        self.dnf.one()
-    }
-
-    fn tagging_fn(&mut self, f: FactId) -> DnfTag {
-        self.dnf.tagging_fn(f)
-    }
-
-    fn mult(&mut self, a: &DnfTag, b: &DnfTag) -> DnfTag {
-        self.dnf.mult(a, b)
-    }
-
-    fn add(&mut self, a: DnfTag, b: DnfTag) -> DnfTag {
-        self.dnf.add(a, b)
-    }
-
-    fn saturate(&mut self, t: DnfTag) -> DnfTag {
-        self.dnf.saturate(t)
-    }
-
-    fn recover_fn(&self, t: &DnfTag) -> f64 {
-        let clauses: Vec<Vec<FactId>> = t
-            .clauses()
-            .iter()
-            .map(|&r| self.dnf.arena().facts(r).to_vec())
-            .collect();
-        self.success_prob(&clauses)
-    }
-
-    fn tag_size(&self, t: &DnfTag) -> usize {
-        self.dnf.tag_size(t)
-    }
-
-    fn report_metrics(&self) {
-        self.dnf.report_metrics();
-    }
-}
-
 /// Scallop-style bounded clause set: monotone DNF capped at `k` clauses.
 ///
 /// `add` and `saturate` minimize and keep the `k` smallest clauses in the
@@ -595,56 +465,6 @@ mod tests {
         assert_eq!(c.add(u64::MAX, 1), u64::MAX);
         assert_eq!(c.zero(), 0);
         assert_eq!(c.one(), 1);
-    }
-
-    #[test]
-    fn probabilistic_single_clause_is_product() {
-        let mut p = Probabilistic::new(0.5);
-        p.set_prob(FactId(1), 0.5);
-        p.set_prob(FactId(2), 0.4);
-        let a = p.tagging_fn(FactId(1));
-        let b = p.tagging_fn(FactId(2));
-        let ab = p.mult(&a, &b);
-        assert!((p.recover_fn(&ab) - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn probabilistic_independent_clauses() {
-        // P(a ∨ b) = 1 − (1−pa)(1−pb) for independent a, b.
-        let mut p = Probabilistic::new(0.5);
-        p.set_prob(FactId(1), 0.3);
-        p.set_prob(FactId(2), 0.6);
-        let a = p.tagging_fn(FactId(1));
-        let b = p.tagging_fn(FactId(2));
-        let sum = p.add(a, b);
-        let want = 1.0 - 0.7 * 0.4;
-        assert!((p.recover_fn(&sum) - want).abs() < 1e-12);
-    }
-
-    #[test]
-    fn probabilistic_shared_fact_correlation() {
-        // φ = (x∧a) ∨ (x∧b): P = px·(1 − (1−pa)(1−pb)).
-        let mut p = Probabilistic::new(0.5);
-        p.set_prob(FactId(0), 0.9); // x
-        p.set_prob(FactId(1), 0.5); // a
-        p.set_prob(FactId(2), 0.5); // b
-        let x = p.tagging_fn(FactId(0));
-        let a = p.tagging_fn(FactId(1));
-        let b = p.tagging_fn(FactId(2));
-        let xa = p.mult(&x, &a);
-        let xb = p.mult(&x, &b);
-        let sum = p.add(xa, xb);
-        let want = 0.9 * (1.0 - 0.25);
-        assert!((p.recover_fn(&sum) - want).abs() < 1e-12);
-    }
-
-    #[test]
-    fn probabilistic_constants() {
-        let mut p = Probabilistic::new(0.5);
-        let zero = p.zero();
-        let one = p.one();
-        assert_eq!(p.recover_fn(&zero), 0.0);
-        assert_eq!(p.recover_fn(&one), 1.0);
     }
 
     #[test]

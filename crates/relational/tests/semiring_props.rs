@@ -7,7 +7,7 @@
 //!    zero, and absorption (`a + a·b = a`) are checked *observationally*: two
 //!    tags are equal iff `recover_fn(saturate(tag))` agrees. Raw tags may
 //!    differ (e.g. `Sum` clause order before minimization) — only the
-//!    recovered output is the semantics. Absorption is checked for the three
+//!    recovered output is the semantics. Absorption is checked for the two
 //!    clause-backed instances; `Counting` is bag arithmetic where
 //!    `a + a·b ≠ a` by design, and its documented non-law is pinned here too.
 //! 2. **Differential multiplicity.** `Counting` is pinned against a
@@ -22,7 +22,7 @@
 
 use ls_relational::{
     evaluate_with, ColRef, ColType, Counting, Database, DnfTag, FactId, JoinCond, MonotoneDnf,
-    Probabilistic, Provenance, Query, Row, SpjBlock, TableRef, TableSchema, TopKClauses, Value,
+    Provenance, Query, Row, SpjBlock, TableRef, TableSchema, TopKClauses, Value,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -75,12 +75,7 @@ fn obs_topk(p: &mut TopKClauses, t: DnfTag) -> Clauses {
     obs_clauses(p.arena(), &refs)
 }
 
-fn obs_prob(p: &mut Probabilistic, t: DnfTag) -> f64 {
-    let t = p.saturate(t);
-    p.recover_fn(&t)
-}
-
-/// Run `law` on the three clause-backed instances plus `Counting`, asserting
+/// Run `law` on the two clause-backed instances plus `Counting`, asserting
 /// the observable outputs of both sides agree. `law` builds both sides from
 /// the same instance so arena refs stay comparable.
 macro_rules! law_all_instances {
@@ -101,15 +96,6 @@ macro_rules! law_all_instances {
                 $body
             };
             prop_assert_eq!(inst.recover_fn(&l), inst.recover_fn(&r), "Counting");
-        }
-        {
-            let mut inst = Probabilistic::new(0.5);
-            let (l, r) = {
-                let $p = &mut inst;
-                $body
-            };
-            let (l, r) = (obs_prob(&mut inst, l), obs_prob(&mut inst, r));
-            prop_assert_eq!(l, r, "Probabilistic");
         }
         for k in [1usize, 2, 8] {
             let mut inst = TopKClauses::new(k);
@@ -208,7 +194,7 @@ proptest! {
         });
     }
 
-    /// Absorption `a + a·b = a` holds in the three clause-backed instances
+    /// Absorption `a + a·b = a` holds in the two clause-backed instances
     /// (their saturation is DNF minimization, which drops subsumed clauses).
     #[test]
     fn absorption_in_clause_instances(a in clauses(), b in clauses()) {
@@ -220,13 +206,6 @@ proptest! {
             let ab = p.mult(&ta, &tb);
             let l = p.add(ta.clone(), ab);
             prop_assert_eq!(obs_dnf(&mut p, l), obs_dnf(&mut p, ta));
-        }
-        {
-            let mut p = Probabilistic::new(0.5);
-            let (ta, tb) = (tag_from(&mut p, &a), tag_from(&mut p, &b));
-            let ab = p.mult(&ta, &tb);
-            let l = p.add(ta.clone(), ab);
-            prop_assert_eq!(obs_prob(&mut p, l), obs_prob(&mut p, ta));
         }
         for k in [2usize, 8] {
             let mut p = TopKClauses::new(k);

@@ -2,9 +2,9 @@
 //!
 //! Linux gets an epoll(7) backend — O(ready) wakeups regardless of how many
 //! connections are registered, which is what lets one process hold 10k+
-//! sockets. Every other unix (and Linux under `LS_POLLER=poll`, so CI can
-//! exercise the fallback) gets poll(2): O(registered) per wakeup but fully
-//! portable. Both are reached through direct `extern "C"` declarations —
+//! sockets. Every other unix gets poll(2): O(registered) per wakeup but
+//! fully portable; [`Poller::with_backend`] picks it on Linux too, so tests
+//! exercise both. Both are reached through direct `extern "C"` declarations —
 //! std already links libc, so no crate dependency is needed.
 //!
 //! The API is deliberately tiny: register/modify/deregister a fd with an
@@ -88,21 +88,16 @@ pub enum Poller {
 }
 
 impl Poller {
-    /// The platform-preferred backend: epoll on Linux (unless the
-    /// `LS_POLLER=poll` override asks for the fallback), poll(2) elsewhere.
+    /// The platform-preferred backend: epoll on Linux, poll(2) elsewhere.
     pub fn new() -> io::Result<Poller> {
         Poller::with_backend(Poller::default_backend())
     }
 
-    /// The backend [`Poller::new`] would pick right now.
+    /// The backend [`Poller::new`] picks.
     pub fn default_backend() -> Backend {
         #[cfg(target_os = "linux")]
         {
-            if std::env::var("LS_POLLER").is_ok_and(|v| v == "poll") {
-                Backend::Poll
-            } else {
-                Backend::Epoll
-            }
+            Backend::Epoll
         }
         #[cfg(not(target_os = "linux"))]
         {

@@ -671,8 +671,7 @@ impl ServeHandle {
             return Err(ServeError::ShuttingDown);
         }
         let start = Instant::now();
-        let dnf = Dnf::from_monomials(req.tuple.derivations.clone());
-        let shape = CanonicalShape::of(&dnf);
+        let shape = CanonicalShape::of(&Dnf::from_monomials(req.tuple.derivations.clone()));
         if shape.players.is_empty() {
             return Ok(None);
         }
@@ -697,7 +696,7 @@ impl ServeHandle {
             }
             Tier::Exact => {
                 ls_obs::counter("serve.tier.exact").incr();
-                ls_shapley::shapley_values_stored(store, &dnf)
+                ls_shapley::shapley_values_stored(store, &shape)
             }
             Tier::Sampled => {
                 ls_obs::counter("serve.tier.sampled").incr();

@@ -41,7 +41,7 @@ pub struct TcpOptions {
     /// Event-loop shard (thread) count, minimum 1.
     pub shards: usize,
     /// Poller backend; `None` picks the platform default (epoll on Linux,
-    /// honoring the `LS_POLLER=poll` override).
+    /// poll(2) elsewhere).
     pub backend: Option<Backend>,
     /// Per-connection unsent-bytes bound above which reading pauses
     /// (write backpressure).

@@ -14,8 +14,8 @@
 //! polynomial-time route of Deutch, Frost, Kimelfeld & Monet (the paper's
 //! `[15]`), which this crate reproduces.
 
-use ls_provenance::{compile, BigNat, Circuit, CompileOptions, Compiled, Dnf, NodeId};
-use ls_relational::{FactId, LineageArena, MonoRef};
+use ls_provenance::{compile, BigNat, Circuit, CompileOptions, Dnf, NodeId};
+use ls_relational::FactId;
 use std::collections::BTreeMap;
 
 /// Shapley (or other attribution) scores per fact.
@@ -28,50 +28,25 @@ pub type FactScores = BTreeMap<FactId, f64>;
 /// the paper's observation that DBShap stores only positive-contribution
 /// facts.
 pub fn shapley_values(provenance: &Dnf) -> FactScores {
-    shapley_values_opts(provenance, CompileOptions::default())
-}
-
-/// Exact Shapley values straight from a recovered clause set — the output of
-/// the monotone-DNF semirings' `recover_fn` (arena refs into the result's
-/// [`LineageArena`]).
-///
-/// This is the semiring-native entry point: the evaluator's tag is lowered to
-/// clauses, lifted into a [`Dnf`] without re-minimization, and compiled. The
-/// arena is borrowed shared, so many tuples of one result can be scored in
-/// parallel.
-pub fn shapley_values_recovered(arena: &LineageArena, clauses: &[MonoRef]) -> FactScores {
-    shapley_values(&Dnf::from_recovered(arena, clauses))
-}
-
-/// [`shapley_values`] with explicit compiler options (for the ablation
-/// benches).
-pub fn shapley_values_opts(provenance: &Dnf, opts: CompileOptions) -> FactScores {
     let players = provenance.variables();
     if players.is_empty() {
         return FactScores::new();
     }
-    let compiled = compile(provenance, opts);
-    shapley_values_compiled(&compiled, &players)
+    let compiled = compile(provenance, CompileOptions::default());
+    let scores = score(&compiled.circuit, compiled.root, &players)
+        .expect("a circuit compiled from a monotone DNF has no negative marginal");
+    players.into_iter().zip(scores).collect()
 }
 
-/// Exact Shapley values reusing an already-compiled circuit (used when many
-/// facts of the same `(q, t)` pair are scored — the common case).
+/// Exact Shapley values of `players` (ascending and non-empty, covering the
+/// root's support) on the circuit at `root`, in player order.
 ///
-/// When the player count is within the u128 fast-path regime, the
-/// unconditioned counting pass is shared across all facts and each
+/// The unconditioned counting pass is shared across all facts, and each
 /// conditioned pass only revisits circuit nodes that mention the fact.
-pub fn shapley_values_compiled(compiled: &Compiled, players: &[FactId]) -> FactScores {
-    shapley_values_circuit(&compiled.circuit, compiled.root, players)
-}
-
-/// Exact Shapley values over a bare circuit arena and root — the layer under
-/// [`shapley_values_compiled`], for circuits that did not come out of the
-/// compiler just now (e.g. entries reloaded from the `ls-circuit` store).
-pub fn shapley_values_circuit(circuit: &Circuit, root: NodeId, players: &[FactId]) -> FactScores {
-    let mut out = FactScores::new();
-    if players.is_empty() {
-        return out;
-    }
+/// Returns `None` if some fact has a negative marginal count: the circuit's
+/// function is then not monotone, which no compilation of a monotone DNF
+/// produces, so only a corrupt stored circuit gets there.
+pub(crate) fn score(circuit: &Circuit, root: NodeId, players: &[FactId]) -> Option<Vec<f64>> {
     let sp = ls_obs::span("shapley.exact")
         .with("players", players.len())
         .with("circuit_nodes", circuit.len());
@@ -85,23 +60,14 @@ pub fn shapley_values_circuit(circuit: &Circuit, root: NodeId, players: &[FactId
     let scored = ls_par::par_map(players, |_, &f| {
         let fact_start = telemetry.then(std::time::Instant::now);
         let others: Vec<FactId> = players.iter().copied().filter(|&x| x != f).collect();
-        let (with, without) = match &base {
-            Some(b) => (
-                circuit.count_by_size_based(root, &others, (f, true), b),
-                circuit.count_by_size_based(root, &others, (f, false), b),
-            ),
-            None => (
-                circuit.count_by_size(root, &others, Some((f, true))),
-                circuit.count_by_size(root, &others, Some((f, false))),
-            ),
-        };
+        let with = circuit.count_by_size_based(root, &others, (f, true), &base);
+        let without = circuit.count_by_size_based(root, &others, (f, false), &base);
         let v = weighted_marginal_sum(&with, &without, &weights);
         if let Some(start) = fact_start {
             ls_obs::histogram("shapley.exact.per_fact").record(start.elapsed().as_secs_f64());
         }
-        (f, v)
+        v
     });
-    out.extend(scored);
     if telemetry {
         ls_obs::counter("shapley.exact.facts_scored").add(players.len() as u64);
         // Every coalition size 0..n is counted analytically per fact.
@@ -109,12 +75,12 @@ pub fn shapley_values_circuit(circuit: &Circuit, root: NodeId, players: &[FactId
             .add((players.len() * players.len()) as u64);
     }
     drop(sp);
-    out
+    scored.into_iter().collect()
 }
 
 /// The coalition-size weights `w[k] = k!·(n-k-1)!/n!` for `k = 0..n`,
 /// computed in log-space for numerical stability at large `n`.
-pub fn shapley_weights(n: usize) -> Vec<f64> {
+pub(crate) fn shapley_weights(n: usize) -> Vec<f64> {
     // ln k! table.
     let mut ln_fact = vec![0.0f64; n + 1];
     for k in 1..=n {
@@ -126,19 +92,19 @@ pub fn shapley_weights(n: usize) -> Vec<f64> {
 }
 
 /// `Σ_k w[k] · (with[k] − without[k])`, with the difference taken in exact
-/// big-integer arithmetic (monotonicity guarantees non-negativity) and the
-/// final product in log-space.
-fn weighted_marginal_sum(with: &[BigNat], without: &[BigNat], weights: &[f64]) -> f64 {
+/// big-integer arithmetic and the final product in log-space; `None` if a
+/// difference is negative.
+fn weighted_marginal_sum(with: &[BigNat], without: &[BigNat], weights: &[f64]) -> Option<f64> {
     let mut acc = 0.0f64;
     for (k, w) in weights.iter().enumerate() {
-        let d = with[k].sub(&without[k]);
+        let d = with[k].checked_sub(&without[k])?;
         if d.is_zero() {
             continue;
         }
         // w is exp(ln w); combine in log-space to survive huge counts.
         acc += (w.ln() + d.ln()).exp();
     }
-    acc
+    Some(acc)
 }
 
 #[cfg(test)]
@@ -270,14 +236,31 @@ mod tests {
         }
     }
 
+    /// Closed forms past the `u128` limit, where counting runs in big
+    /// integers: a conjunction of 125 facts and 62 disjoint pairs are both
+    /// symmetric in their facts, so each gets `1/n`, and the values sum to 1.
+    /// The values are bit-identical at one and two threads.
     #[test]
-    fn compiled_reuse_matches_fresh() {
-        let d = dnf(&[&[0, 1], &[1, 2], &[2, 3]]);
-        let fresh = shapley_values(&d);
-        let compiled = compile(&d, CompileOptions::default());
-        let reused = shapley_values_compiled(&compiled, &d.variables());
-        for (f, v) in &fresh {
-            assert!(close(*v, reused[f]));
+    fn closed_forms_past_the_u128_limit() {
+        let conjunction =
+            Dnf::from_monomials(vec![Monomial::from_facts((0..125).map(FactId).collect())]);
+        let pairs = Dnf::from_monomials(
+            (0..62)
+                .map(|i| Monomial::from_facts(vec![FactId(2 * i), FactId(2 * i + 1)]))
+                .collect(),
+        );
+        for (d, n) in [(conjunction, 125), (pairs, 124)] {
+            let serial = ls_par::with_threads(1, || shapley_values(&d));
+            assert_eq!(serial.len(), n);
+            for v in serial.values() {
+                assert!((v - 1.0 / n as f64).abs() < 1e-12, "{v} vs 1/{n}");
+            }
+            let total: f64 = serial.values().sum();
+            assert!(close(total, 1.0), "total = {total}");
+            let par = ls_par::with_threads(2, || shapley_values(&d));
+            for (f, v) in &serial {
+                assert_eq!(v.to_bits(), par[f].to_bits(), "fact {f:?} at 2 threads");
+            }
         }
     }
 }

@@ -10,8 +10,8 @@
 //! * [`shapley_values_sampled`] — unbiased permutation-sampling estimator;
 //! * [`cnf_proxy_scores`] — the fast inexact *CNF Proxy* ranking heuristic;
 //!
-//! plus exact [`banzhaf_values`], the ranking helpers every consumer shares,
-//! and [`shapley_values_stored`] — the exact engine routed through the
+//! plus the ranking helpers every consumer shares, and
+//! [`shapley_values_stored`] — the exact engine routed through the
 //! `ls-circuit` compiled-circuit store so recurring lineage shapes compile
 //! once and answer from cache thereafter.
 //!
@@ -36,7 +36,6 @@
 
 #![warn(missing_docs)]
 
-pub mod banzhaf;
 pub mod exact;
 pub mod naive;
 pub mod proxy;
@@ -44,13 +43,9 @@ pub mod ranking;
 pub mod sampling;
 pub mod stored;
 
-pub use banzhaf::banzhaf_values;
-pub use exact::{
-    shapley_values, shapley_values_circuit, shapley_values_compiled, shapley_values_opts,
-    shapley_values_recovered, shapley_weights, FactScores,
-};
+pub use exact::{shapley_values, FactScores};
 pub use naive::{shapley_values_bruteforce, MAX_BRUTE_FORCE_PLAYERS};
 pub use proxy::cnf_proxy_scores;
 pub use ranking::{average_ranks, rank_descending, top_k};
 pub use sampling::shapley_values_sampled;
-pub use stored::{shapley_values_recovered_stored, shapley_values_stored};
+pub use stored::shapley_values_stored;

@@ -12,49 +12,44 @@
 //! [`crate::shapley_values`] would have produced from scratch. The
 //! differential tests in `tests/stored.rs` pin exactly that.
 
-use crate::exact::{shapley_values_circuit, FactScores};
+use crate::exact::{score, FactScores};
 use ls_circuit::{CanonicalShape, CircuitStore};
-use ls_provenance::Dnf;
-use ls_relational::{FactId, LineageArena, MonoRef};
+use ls_relational::FactId;
 
-/// Exact Shapley values of every lineage fact, answered through the
-/// compiled-circuit `store`.
+/// Exact Shapley values of every fact of `shape`'s lineage, answered
+/// through the compiled-circuit `store`.
 ///
-/// The provenance is canonicalized to its shape; a persisted or resident
-/// entry for that shape is reused (recurring shapes across tuples compile
-/// once per store directory, ever). Canonical scores are attached to the
-/// entry on first scoring, so warm hits are pure rename-and-lookup.
+/// A persisted or resident entry for the shape is reused (recurring shapes
+/// across tuples compile once per store directory, ever). Canonical scores
+/// are attached to the entry on first scoring, so warm hits are pure
+/// rename-and-lookup. An entry whose circuit scores a negative marginal —
+/// no compilation of a monotone lineage has one — counts as a load error
+/// and is compiled afresh.
 ///
-/// Returns the same map — bit-for-bit — as [`crate::shapley_values`].
-pub fn shapley_values_stored(store: &CircuitStore, provenance: &Dnf) -> FactScores {
-    let players = provenance.variables();
-    if players.is_empty() {
+/// Returns the same map — bit-for-bit — as [`crate::shapley_values`] on the
+/// DNF the shape was canonicalized from.
+pub fn shapley_values_stored(store: &CircuitStore, shape: &CanonicalShape) -> FactScores {
+    if shape.players.is_empty() {
         return FactScores::new();
     }
-    let (shape, entry) = store.get_or_compile(provenance);
-    match entry.scores() {
-        Some(canonical) if canonical.len() == shape.n_players() => rename_back(&shape, canonical),
-        _ => {
-            let canon_players: Vec<FactId> = (0..shape.n_players() as u32).map(FactId).collect();
-            let canonical_scores =
-                shapley_values_circuit(&entry.circuit, entry.root, &canon_players);
-            let flat: Vec<f64> = canon_players.iter().map(|f| canonical_scores[f]).collect();
-            let out = rename_back(&shape, &flat);
-            // Persistence is best-effort: a full disk must not fail scoring.
-            let _ = store.put_scores(&entry, flat);
-            out
-        }
+    let entry = store.get_or_compile_shape(shape);
+    if let Some(canonical) = entry.scores().filter(|s| s.len() == shape.n_players()) {
+        return rename_back(shape, canonical);
     }
-}
-
-/// Store-backed twin of [`crate::shapley_values_recovered`]: score a
-/// recovered clause set (semiring `recover_fn` output) through the store.
-pub fn shapley_values_recovered_stored(
-    arena: &LineageArena,
-    clauses: &[MonoRef],
-    store: &CircuitStore,
-) -> FactScores {
-    shapley_values_stored(store, &Dnf::from_recovered(arena, clauses))
+    let canon_players: Vec<FactId> = (0..shape.n_players() as u32).map(FactId).collect();
+    let (entry, scores) = match score(&entry.circuit, entry.root, &canon_players) {
+        Some(scores) => (entry, scores),
+        None => {
+            let fresh = store.recompile(shape);
+            let scores = score(&fresh.circuit, fresh.root, &canon_players)
+                .expect("a freshly compiled circuit has no negative marginal");
+            (fresh, scores)
+        }
+    };
+    let out = rename_back(shape, &scores);
+    // Persistence is best-effort: a full disk must not fail scoring.
+    let _ = store.put_scores(&entry, scores);
+    out
 }
 
 /// Map canonical per-variable scores back to the original fact ids.

@@ -5,9 +5,7 @@
 
 use ls_provenance::Dnf;
 use ls_relational::{FactId, Monomial};
-use ls_shapley::{
-    banzhaf_values, shapley_values, shapley_values_bruteforce, shapley_values_sampled,
-};
+use ls_shapley::{shapley_values, shapley_values_bruteforce, shapley_values_sampled};
 use proptest::prelude::*;
 
 fn small_dnf() -> impl Strategy<Value = Dnf> {
@@ -76,31 +74,6 @@ proptest! {
         for (f, v) in &exact {
             // 4000 samples → σ ≈ 0.008; allow 6σ.
             prop_assert!((est[f] - v).abs() < 0.05, "fact {}: {} vs {}", f, est[f], v);
-        }
-    }
-
-    /// Banzhaf agrees with its brute-force definition.
-    #[test]
-    fn banzhaf_matches_bruteforce(d in small_dnf()) {
-        let fast = banzhaf_values(&d);
-        let players = d.variables();
-        let n = players.len();
-        for (i, &f) in players.iter().enumerate() {
-            let mut pivotal = 0u64;
-            for mask in 0u32..(1 << n) {
-                if mask >> i & 1 == 1 { continue; }
-                let without: Vec<FactId> = players.iter().enumerate()
-                    .filter(|(j, _)| mask >> j & 1 == 1)
-                    .map(|(_, f)| *f).collect();
-                let mut with = without.clone();
-                let pos = with.binary_search(&f).unwrap_err();
-                with.insert(pos, f);
-                if d.eval_sorted(&with) && !d.eval_sorted(&without) {
-                    pivotal += 1;
-                }
-            }
-            let expected = pivotal as f64 / (1u64 << (n - 1)) as f64;
-            prop_assert!((fast[&f] - expected).abs() < 1e-9);
         }
     }
 }

@@ -1,10 +1,10 @@
 //! Explaining query answers over a realistic movie database.
 //!
 //! Generates the synthetic IMDB-like database, runs a join query, and
-//! explains one output tuple four different ways: exact Shapley (knowledge
-//! compilation), permutation sampling, the CNF Proxy heuristic, and Banzhaf
-//! values — then compares the three query-similarity metrics on a family of
-//! related queries (the paper's Examples 2.3, 2.4 and 3.1 in the wild).
+//! explains one output tuple three different ways: exact Shapley (knowledge
+//! compilation), permutation sampling and the CNF Proxy heuristic — then
+//! compares the three query-similarity metrics on a family of related
+//! queries (the paper's Examples 2.3, 2.4 and 3.1 in the wild).
 //!
 //! ```text
 //! cargo run --release --example movie_explanations
@@ -54,27 +54,21 @@ fn main() {
     let start = Instant::now();
     let proxy = cnf_proxy_scores(&prov);
     let proxy_time = start.elapsed();
-    let start = Instant::now();
-    let banzhaf = banzhaf_values(&prov);
-    let banzhaf_time = start.elapsed();
 
     println!("\ntop-5 facts by each attribution method:");
     println!(
-        "{:<44} {:>8} {:>8} {:>8} {:>8}",
-        "fact", "exact", "sampled", "proxy", "banzhaf"
+        "{:<44} {:>8} {:>8} {:>8}",
+        "fact", "exact", "sampled", "proxy"
     );
     for f in rank_descending(&exact).into_iter().take(5) {
         let (table, row) = db.fact(f).unwrap();
         let label: String = format!("{table} {row}").chars().take(42).collect();
         println!(
-            "{:<44} {:>8.4} {:>8.4} {:>8.4} {:>8.4}",
-            label, exact[&f], sampled[&f], proxy[&f], banzhaf[&f]
+            "{:<44} {:>8.4} {:>8.4} {:>8.4}",
+            label, exact[&f], sampled[&f], proxy[&f]
         );
     }
-    println!(
-        "\ntimings: exact {exact_time:?}, sampled {sampled_time:?}, \
-         proxy {proxy_time:?}, banzhaf {banzhaf_time:?}"
-    );
+    println!("\ntimings: exact {exact_time:?}, sampled {sampled_time:?}, proxy {proxy_time:?}");
 
     // ---- Query similarity on a mutated family ------------------------------
     let variants = [

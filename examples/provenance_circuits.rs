@@ -64,9 +64,7 @@ fn main() {
 
     // Cardinality-resolved model counting — the primitive behind Shapley.
     let universe = prov.variables();
-    let counts = compiled
-        .circuit
-        .count_by_size(compiled.root, &universe, None);
+    let counts = compiled.circuit.count_by_size(compiled.root, &universe);
     println!("\nsatisfying assignments by number of present facts:");
     for (k, c) in counts.iter().enumerate() {
         let v = c.to_f64();

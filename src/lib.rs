@@ -8,7 +8,7 @@
 //! * [`relational`] — SPJU engine with fact-annotated provenance evaluation;
 //! * [`provenance`] — Boolean provenance, Tseytin CNF, decision-DNNF
 //!   knowledge compiler, exact cardinality-resolved model counting;
-//! * [`shapley`] — exact / sampled / proxy Shapley values of facts, Banzhaf;
+//! * [`shapley`] — exact / sampled / proxy Shapley values of facts;
 //! * [`similarity`] — syntax-, witness-, and rank-based query similarity;
 //! * [`nn`] — the transformer-encoder substrate with manual backprop;
 //! * [`dbshap`] — the DBShap benchmark generator (databases, query logs,
@@ -64,8 +64,7 @@ pub mod prelude {
         Value,
     };
     pub use ls_shapley::{
-        banzhaf_values, cnf_proxy_scores, rank_descending, shapley_values, shapley_values_sampled,
-        FactScores,
+        cnf_proxy_scores, rank_descending, shapley_values, shapley_values_sampled, FactScores,
     };
     pub use ls_similarity::{
         rank_based_similarity, syntax_similarity, witness_similarity, RankSimOptions,
