@@ -80,13 +80,6 @@ pub struct SampleEstimate {
     pub batches: usize,
 }
 
-impl SampleEstimate {
-    /// The widest per-fact CI half-width (0 for empty lineages).
-    pub fn max_ci95(&self) -> f64 {
-        self.ci95.values().copied().fold(0.0, f64::max)
-    }
-}
-
 /// The flip rule: the position in a permutation at which a monotone DNF
 /// first becomes true.
 ///

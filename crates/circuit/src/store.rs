@@ -18,7 +18,7 @@
 use crate::format::{self, EntryData, StoreError};
 use crate::shape::{CanonicalShape, ShapeKey};
 use ls_fault::{persist, FaultyRead, Injector, NoFaults};
-use ls_provenance::{compile, BigNat, Circuit, CompileOptions, Dnf, NodeId};
+use ls_provenance::{compile, BigNat, Circuit, CompileOptions, NodeId};
 use std::collections::HashMap;
 use std::io::{self, Read};
 use std::path::{Path, PathBuf};
@@ -180,16 +180,9 @@ impl CircuitStore {
         self.dir.join(format!("{}.lsc", key.to_hex()))
     }
 
-    /// Canonicalize `dnf` and return its compiled circuit — from memory,
-    /// from disk, or by compiling fresh (in that order). Always succeeds:
-    /// every load failure is typed, counted, and recovered by compilation.
-    pub fn get_or_compile(&self, dnf: &Dnf) -> (CanonicalShape, Arc<CircuitEntry>) {
-        let shape = CanonicalShape::of(dnf);
-        let entry = self.get_or_compile_shape(&shape);
-        (shape, entry)
-    }
-
-    /// [`CircuitStore::get_or_compile`] for an already-canonicalized shape.
+    /// The compiled circuit of `shape` — from memory, from disk, or by
+    /// compiling fresh (in that order). Always succeeds: every load failure
+    /// is typed, counted, and recovered by compilation.
     pub fn get_or_compile_shape(&self, shape: &CanonicalShape) -> Arc<CircuitEntry> {
         if let Some(entry) = self.probe_memory(shape.key) {
             self.mem_hits.fetch_add(1, Ordering::Relaxed);

@@ -6,7 +6,7 @@
 //! `StoreStats::load_errors`, and the store transparently falls back to a
 //! fresh compilation (and re-persists a good entry). No panics, ever.
 
-use ls_circuit::{CircuitStore, ShapeKey};
+use ls_circuit::{CanonicalShape, CircuitStore, ShapeKey};
 use ls_fault::{FaultKind, FaultPlan, FaultRule, FaultSpec};
 use ls_provenance::Dnf;
 use ls_relational::{FactId, Monomial};
@@ -46,18 +46,19 @@ fn cold_compile_then_warm_reload_round_trips() {
     let d = wide_dnf();
 
     let cold = CircuitStore::open(&dir, 8).unwrap();
-    let (shape, entry) = cold.get_or_compile(&d);
+    let shape = CanonicalShape::of(&d);
+    let entry = cold.get_or_compile_shape(&shape);
     assert_eq!(cold.stats().misses, 1);
     assert!(cold.entry_path(shape.key).exists());
 
     // Second lookup in the same store: memory hit.
-    let (_, again) = cold.get_or_compile(&d);
+    let again = cold.get_or_compile_shape(&CanonicalShape::of(&d));
     assert_eq!(cold.stats().mem_hits, 1);
     assert!(Arc::ptr_eq(&entry, &again));
 
     // A brand-new store over the same directory loads from disk.
     let warm = CircuitStore::open(&dir, 8).unwrap();
-    let (_, loaded) = warm.get_or_compile(&d);
+    let loaded = warm.get_or_compile_shape(&CanonicalShape::of(&d));
     let stats = warm.stats();
     assert_eq!(
         (stats.disk_hits, stats.misses, stats.load_errors),
@@ -76,13 +77,13 @@ fn scores_persist_and_reload_bit_identically() {
     let scores: Vec<f64> = vec![0.1, 1.0 / 3.0, 0.25, 0.5f64.sqrt(), 1e-300, 0.0];
 
     let a = CircuitStore::open(&dir, 8).unwrap();
-    let (_, entry) = a.get_or_compile(&d);
+    let entry = a.get_or_compile_shape(&CanonicalShape::of(&d));
     assert!(entry.scores().is_none());
     a.put_scores(&entry, scores.clone()).unwrap();
     assert_eq!(entry.scores().unwrap(), &scores[..]);
 
     let b = CircuitStore::open(&dir, 8).unwrap();
-    let (_, loaded) = b.get_or_compile(&d);
+    let loaded = b.get_or_compile_shape(&CanonicalShape::of(&d));
     let got = loaded.scores().expect("scores round-trip through the file");
     assert_eq!(got.len(), scores.len());
     for (x, y) in scores.iter().zip(got) {
@@ -96,11 +97,12 @@ fn truncated_file_falls_back_to_fresh_compile() {
     let dir = temp_dir("trunc");
     let d = wide_dnf();
     let a = CircuitStore::open(&dir, 8).unwrap();
-    let (shape, original) = a.get_or_compile(&d);
+    let shape = CanonicalShape::of(&d);
+    let original = a.get_or_compile_shape(&shape);
     mangle(&dir, shape.key, |bytes| bytes[..bytes.len() / 2].to_vec());
 
     let b = CircuitStore::open(&dir, 8).unwrap();
-    let (_, recovered) = b.get_or_compile(&d);
+    let recovered = b.get_or_compile_shape(&CanonicalShape::of(&d));
     let stats = b.stats();
     assert_eq!(
         (stats.load_errors, stats.misses, stats.disk_hits),
@@ -110,7 +112,7 @@ fn truncated_file_falls_back_to_fresh_compile() {
 
     // The fallback re-persisted a good entry: a third store disk-hits.
     let c = CircuitStore::open(&dir, 8).unwrap();
-    let _ = c.get_or_compile(&d);
+    let _ = c.get_or_compile_shape(&CanonicalShape::of(&d));
     assert_eq!(c.stats().disk_hits, 1);
     let _ = fs::remove_dir_all(&dir);
 }
@@ -120,7 +122,8 @@ fn flipped_crc_byte_is_detected() {
     let dir = temp_dir("bitrot");
     let d = wide_dnf();
     let a = CircuitStore::open(&dir, 8).unwrap();
-    let (shape, _) = a.get_or_compile(&d);
+    let shape = CanonicalShape::of(&d);
+    let _ = a.get_or_compile_shape(&shape);
     mangle(&dir, shape.key, |mut bytes| {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x04;
@@ -128,7 +131,7 @@ fn flipped_crc_byte_is_detected() {
     });
 
     let b = CircuitStore::open(&dir, 8).unwrap();
-    let (_, entry) = b.get_or_compile(&d);
+    let entry = b.get_or_compile_shape(&CanonicalShape::of(&d));
     assert_eq!(b.stats().load_errors, 1);
     assert!(entry.circuit.check_invariants(entry.root).is_ok());
     let _ = fs::remove_dir_all(&dir);
@@ -143,7 +146,8 @@ fn wrong_magic_and_wrong_version_are_typed_rejections() {
         let dir = temp_dir(tag);
         let d = wide_dnf();
         let a = CircuitStore::open(&dir, 8).unwrap();
-        let (shape, _) = a.get_or_compile(&d);
+        let shape = CanonicalShape::of(&d);
+        let _ = a.get_or_compile_shape(&shape);
         // Patch inside the body, then re-seal so the CRC is valid — this
         // exercises the magic/version checks, not the checksum.
         mangle(&dir, shape.key, |bytes| {
@@ -154,7 +158,7 @@ fn wrong_magic_and_wrong_version_are_typed_rejections() {
         });
 
         let b = CircuitStore::open(&dir, 8).unwrap();
-        let (_, entry) = b.get_or_compile(&d);
+        let entry = b.get_or_compile_shape(&CanonicalShape::of(&d));
         assert_eq!(b.stats().load_errors, 1, "case {tag}");
         assert_eq!(b.stats().misses, 1, "case {tag}");
         assert!(!entry.circuit.is_empty());
@@ -168,14 +172,16 @@ fn shape_collision_guard_rejects_misfiled_entries() {
     let d1 = wide_dnf();
     let d2 = dnf(&[&[0], &[1, 2]]);
     let a = CircuitStore::open(&dir, 8).unwrap();
-    let (s1, _) = a.get_or_compile(&d1);
-    let (s2, _) = a.get_or_compile(&d2);
+    let s1 = CanonicalShape::of(&d1);
+    let _ = a.get_or_compile_shape(&s1);
+    let s2 = CanonicalShape::of(&d2);
+    let _ = a.get_or_compile_shape(&s2);
     // Copy d2's entry over d1's path: valid file, wrong shape.
     let bytes = fs::read(a.entry_path(s2.key)).unwrap();
     fs::write(a.entry_path(s1.key), bytes).unwrap();
 
     let b = CircuitStore::open(&dir, 8).unwrap();
-    let (_, entry) = b.get_or_compile(&d1);
+    let entry = b.get_or_compile_shape(&CanonicalShape::of(&d1));
     assert_eq!(b.stats().load_errors, 1);
     // The recovered entry answers for d1's shape, not the misfiled d2.
     assert_eq!(entry.n_players as usize, d1.variables().len());
@@ -192,13 +198,13 @@ fn faulty_read_mid_load_falls_back_without_panicking() {
         });
         let d = wide_dnf();
         let seed_store = CircuitStore::open(&dir, 8).unwrap();
-        let (_, original) = seed_store.get_or_compile(&d);
+        let original = seed_store.get_or_compile_shape(&CanonicalShape::of(&d));
 
         // Fault every read at the store's injection site.
         let spec = FaultSpec::new().rule(FaultRule::every("circuit.store.read", kind, 1, 0));
         let injector = Arc::new(FaultPlan::compile(7, &spec));
         let chaotic = CircuitStore::open_with(&dir, 8, injector).unwrap();
-        let (_, entry) = chaotic.get_or_compile(&d);
+        let entry = chaotic.get_or_compile_shape(&CanonicalShape::of(&d));
         let stats = chaotic.stats();
         assert_eq!(stats.load_errors, 1, "kind {kind:?}");
         assert_eq!(stats.misses, 1, "kind {kind:?}");
@@ -223,12 +229,12 @@ fn lru_evicts_but_disk_still_answers() {
         })
         .collect();
     for d in &shapes {
-        let _ = store.get_or_compile(d);
+        let _ = store.get_or_compile_shape(&CanonicalShape::of(d));
     }
     assert!(store.stats().evictions >= 2);
     // Every shape still answers: evicted ones reload from disk.
     for d in &shapes {
-        let (_, e) = store.get_or_compile(d);
+        let e = store.get_or_compile_shape(&CanonicalShape::of(d));
         assert!(!e.circuit.is_empty());
     }
     assert!(store.stats().disk_hits >= 2);
@@ -245,7 +251,8 @@ fn torn_write_via_injection_is_detected_and_healed() {
     let dir = temp_dir("torn_write");
     let d = wide_dnf();
     let seed_store = CircuitStore::open(&dir, 8).unwrap();
-    let (shape, original) = seed_store.get_or_compile(&d);
+    let shape = CanonicalShape::of(&d);
+    let original = seed_store.get_or_compile_shape(&shape);
     let path = seed_store.entry_path(shape.key);
     let good = fs::read(&path).unwrap();
 
@@ -271,7 +278,7 @@ fn torn_write_via_injection_is_detected_and_healed() {
     );
 
     let healed = CircuitStore::open(&dir, 8).unwrap();
-    let (_, entry) = healed.get_or_compile(&d);
+    let entry = healed.get_or_compile_shape(&CanonicalShape::of(&d));
     let stats = healed.stats();
     assert_eq!(stats.load_errors, 1, "torn file must be counted");
     assert_eq!(stats.misses, 1, "torn file must force a fresh compile");
@@ -283,7 +290,7 @@ fn torn_write_via_injection_is_detected_and_healed() {
 
     // The fallback re-persisted: a third store loads cleanly from disk.
     let reread = CircuitStore::open(&dir, 8).unwrap();
-    let _ = reread.get_or_compile(&d);
+    let _ = reread.get_or_compile_shape(&CanonicalShape::of(&d));
     let stats = reread.stats();
     assert_eq!(
         (stats.disk_hits, stats.load_errors),
@@ -304,7 +311,8 @@ fn persisted_entry_footer_uses_the_shared_ls_fault_crc32() {
     let dir = temp_dir("crc_pin");
     let d = wide_dnf();
     let store = CircuitStore::open(&dir, 8).unwrap();
-    let (shape, _) = store.get_or_compile(&d);
+    let shape = CanonicalShape::of(&d);
+    let _ = store.get_or_compile_shape(&shape);
     let bytes = fs::read(store.entry_path(shape.key)).unwrap();
 
     // Footer layout: magic (4) + body length u64 + crc32 u32, all LE.

@@ -96,7 +96,7 @@ pub struct TrainCheckpoint {
     /// Best-so-far weights.
     pub best: Snapshot,
     /// Serialized Adam state: the `LSAD` bytes of [`Adam::write_state`],
-    /// decoded by [`TrainCheckpoint::optimizer`].
+    /// decoded and checked against the model by [`TrainCheckpoint::restore`].
     pub opt_state: Vec<u8>,
 }
 
@@ -192,8 +192,9 @@ impl TrainCheckpoint {
         }))
     }
 
-    /// Deserialize the stored optimizer.
-    pub fn optimizer(&self) -> io::Result<Adam> {
+    /// Deserialize the stored optimizer, unchecked against any model: only
+    /// [`TrainCheckpoint::restore`] hands one out, after the layout check.
+    fn optimizer(&self) -> io::Result<Adam> {
         Adam::read_state(&self.opt_state)
     }
 

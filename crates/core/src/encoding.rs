@@ -25,11 +25,6 @@ pub fn render_tuple(t: &OutputTuple) -> String {
     t.value_string()
 }
 
-/// The segment-B text for fine-tuning: output tuple followed by the fact.
-pub fn render_tuple_and_fact(db: &Database, t: &OutputTuple, f: FactId) -> String {
-    format!("{} ; {}", render_tuple(t), render_fact(db, f))
-}
-
 /// Bucket an overlap count into a feature token suffix: `0`, `1`, `2`, `3+`.
 fn bucket(n: usize) -> &'static str {
     match n {
@@ -122,11 +117,6 @@ mod tests {
             derivations: vec![Monomial::one()],
         };
         assert_eq!(render_tuple(&t), "(Alice, 45)");
-        let d = db();
-        assert_eq!(
-            render_tuple_and_fact(&d, &t, FactId(0)),
-            "(Alice, 45) ; movies (Superman, 2007)"
-        );
     }
 
     #[test]

@@ -47,12 +47,6 @@ impl NearestFallback {
             db: ds.db.clone(),
         }
     }
-
-    /// Wrap an already-fitted model (must use a metric that does not need
-    /// gold rankings, i.e. not [`NqMetric::Rank`]).
-    pub fn from_parts(nq: NearestQueries, db: Database) -> NearestFallback {
-        NearestFallback { nq, db }
-    }
 }
 
 impl FallbackScorer for NearestFallback {

@@ -9,9 +9,10 @@ use crate::checkpoint::{CheckpointConfig, Stage, TrainCheckpoint};
 use crate::encoding::render_tuple_and_fact_featured;
 use crate::eval::{ndcg_at_k, precision_at_k};
 use crate::model::LearnShapleyModel;
+use crate::online::FeedbackRecord;
 use crate::pretrain::{TrainConfig, GRAD_CLIP};
 use crate::tokenizer::Tokenizer;
-use ls_dbshap::{Dataset, Split};
+use ls_dbshap::{Dataset, QueryRecord, Split, TupleRecord};
 use ls_nn::{Adam, AdamConfig, Snapshot};
 use ls_shapley::FactScores;
 use rand::rngs::StdRng;
@@ -29,33 +30,42 @@ use std::io;
 /// within-tuple ranking, which is what NDCG/p@k measure.
 pub const SHAPLEY_SCALE: f32 = 4.0;
 
-/// One fine-tuning example (text already rendered).
-#[derive(Debug, Clone)]
-pub struct FinetuneSample {
-    /// The query's SQL.
-    pub query_sql: String,
-    /// Rendered `tuple ; fact` segment.
-    pub tuple_fact: String,
-    /// Scaled Shapley target.
-    pub target: f32,
+/// Append the gold records of one recorded tuple to `out`: one per lineage
+/// fact, targeting its exact Shapley value over the tuple's largest, times
+/// [`SHAPLEY_SCALE`].
+pub(crate) fn push_gold_records(
+    ds: &Dataset,
+    q: &QueryRecord,
+    t: &TupleRecord,
+    out: &mut Vec<FeedbackRecord>,
+) {
+    let tuple = &q.result.tuples[t.tuple_idx];
+    let max_v = t
+        .shapley
+        .values()
+        .cloned()
+        .fold(f64::MIN, f64::max)
+        .max(1e-12);
+    for (&f, &v) in &t.shapley {
+        out.push(FeedbackRecord {
+            query_sql: q.sql.clone(),
+            tuple_fact: render_tuple_and_fact_featured(&ds.db, &q.sql, tuple, f),
+            target: (v / max_v) as f32 * SHAPLEY_SCALE,
+        });
+    }
 }
 
-/// Materialize fine-tuning samples from the recorded ground truth of the
+/// Materialize fine-tuning records from the recorded ground truth of the
 /// given query subset. With `negatives > 0`, each recorded tuple also
 /// contributes that many random *non-lineage* facts with target 0 — the
 /// extension the paper's §7 calls for so the model can separate
 /// contributing from non-contributing facts.
-pub fn build_finetune_samples(ds: &Dataset, queries: &[usize]) -> Vec<FinetuneSample> {
-    build_finetune_samples_with_negatives(ds, queries, 0, 0)
-}
-
-/// [`build_finetune_samples`] with explicit negative sampling.
 pub fn build_finetune_samples_with_negatives(
     ds: &Dataset,
     queries: &[usize],
     negatives: usize,
     seed: u64,
-) -> Vec<FinetuneSample> {
+) -> Vec<FeedbackRecord> {
     use rand::Rng;
     let mut rng = StdRng::seed_from_u64(seed ^ 0x9e6a);
     let fact_count = ds.db.fact_count() as u32;
@@ -63,20 +73,8 @@ pub fn build_finetune_samples_with_negatives(
     for &qi in queries {
         let q = &ds.queries[qi];
         for t in &q.tuples {
+            push_gold_records(ds, q, t, &mut out);
             let tuple = &q.result.tuples[t.tuple_idx];
-            let max_v = t
-                .shapley
-                .values()
-                .cloned()
-                .fold(f64::MIN, f64::max)
-                .max(1e-12);
-            for (&f, &v) in &t.shapley {
-                out.push(FinetuneSample {
-                    query_sql: q.sql.clone(),
-                    tuple_fact: render_tuple_and_fact_featured(&ds.db, &q.sql, tuple, f),
-                    target: (v / max_v) as f32 * SHAPLEY_SCALE,
-                });
-            }
             let mut added = 0usize;
             let mut guard = 0usize;
             while added < negatives && guard < negatives * 20 + 20 {
@@ -85,7 +83,7 @@ pub fn build_finetune_samples_with_negatives(
                 if t.shapley.contains_key(&f) {
                     continue;
                 }
-                out.push(FinetuneSample {
+                out.push(FeedbackRecord {
                     query_sql: q.sql.clone(),
                     tuple_fact: render_tuple_and_fact_featured(&ds.db, &q.sql, tuple, f),
                     target: 0.0,

@@ -37,14 +37,13 @@ pub mod tokenizer;
 
 pub use checkpoint::{CheckpointConfig, Stage, TrainCheckpoint};
 pub use encoding::{
-    render_fact, render_featured_hoisted, render_tuple, render_tuple_and_fact,
-    render_tuple_and_fact_featured,
+    render_fact, render_featured_hoisted, render_tuple, render_tuple_and_fact_featured,
 };
 pub use eval::{linear_slope, ndcg_at_k, partial_ndcg_at_k, pearson, precision_at_k};
 pub use fallback::{FallbackScorer, NearestFallback, UniformFallback};
 pub use finetune::{
-    build_finetune_samples, build_finetune_samples_with_negatives, evaluate_model, finetune,
-    finetune_resumable, EvalSummary, FinetuneReport, FinetuneSample, SHAPLEY_SCALE,
+    build_finetune_samples_with_negatives, evaluate_model, finetune, finetune_resumable,
+    EvalSummary, FinetuneReport, SHAPLEY_SCALE,
 };
 pub use inference::{predict_scores, rank_lineage, LineageScorer, ScoreContext};
 pub use model::{LearnShapleyModel, HEAD_RANK, HEAD_SYNTAX, HEAD_WITNESS};

@@ -19,8 +19,7 @@
 //! one. The serving layer hot-swaps whatever `CURRENT` names.
 
 use crate::checkpoint::{Stage, TrainCheckpoint};
-use crate::encoding::render_tuple_and_fact_featured;
-use crate::finetune::SHAPLEY_SCALE;
+use crate::finetune::push_gold_records;
 use crate::model::LearnShapleyModel;
 use crate::persist::save_model;
 use crate::pretrain::GRAD_CLIP;
@@ -32,17 +31,17 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 /// One unit of ranking feedback: "for this query and this rendered
-/// tuple-and-fact, the fact's (scaled) contribution is `target`". The
-/// rendered form matches fine-tuning samples exactly, so online updates
-/// speak the same input language as offline training.
+/// tuple-and-fact, the fact's (scaled) contribution is `target`". Offline
+/// fine-tuning trains on the same records, so online updates speak the same
+/// input language as offline training.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FeedbackRecord {
     /// The query's SQL.
     pub query_sql: String,
-    /// Rendered `tuple ; fact` segment ([`render_tuple_and_fact_featured`]).
+    /// Rendered `tuple ; fact` segment ([`crate::render_tuple_and_fact_featured`]).
     pub tuple_fact: String,
     /// Regression target (same scale as fine-tuning: top fact of a tuple ≈
-    /// [`SHAPLEY_SCALE`]).
+    /// [`crate::SHAPLEY_SCALE`]).
     pub target: f32,
 }
 
@@ -346,27 +345,13 @@ pub fn replay_train(
 
 /// Materialize feedback records for a stream of (query, tuple) interest
 /// events from the dataset's recorded ground truth — one record per lineage
-/// fact, targets normalized per tuple exactly like fine-tuning samples.
+/// fact, with the fine-tuning records' targets.
 pub fn feedback_from_gold(ds: &Dataset, events: &[FeedbackEvent]) -> Vec<FeedbackRecord> {
     let mut out = Vec::new();
     for e in events {
         let q = &ds.queries[e.query];
-        let Some(t) = q.tuples.get(e.tuple) else {
-            continue;
-        };
-        let tuple = &q.result.tuples[t.tuple_idx];
-        let max_v = t
-            .shapley
-            .values()
-            .cloned()
-            .fold(f64::MIN, f64::max)
-            .max(1e-12);
-        for (&f, &v) in &t.shapley {
-            out.push(FeedbackRecord {
-                query_sql: q.sql.clone(),
-                tuple_fact: render_tuple_and_fact_featured(&ds.db, &q.sql, tuple, f),
-                target: (v / max_v) as f32 * SHAPLEY_SCALE,
-            });
+        if let Some(t) = q.tuples.get(e.tuple) {
+            push_gold_records(ds, q, t, &mut out);
         }
     }
     out

@@ -24,7 +24,6 @@
 
 pub mod academic;
 pub mod dataset;
-pub mod export;
 pub mod feedback;
 pub mod imdb;
 pub mod names;
@@ -34,7 +33,6 @@ pub mod subset;
 
 pub use academic::{generate_academic, AcademicConfig};
 pub use dataset::{Dataset, DatasetConfig, QueryRecord, Split, TupleRecord};
-pub use export::{export, import_quartets, Quartet};
 pub use feedback::{drift_feedback_events, DriftConfig, FeedbackEvent};
 pub use imdb::{generate_imdb, ImdbConfig};
 pub use names::NamePool;

@@ -49,5 +49,5 @@ pub use linear::Linear;
 pub use norm::LayerNorm;
 pub use optim::{Adam, AdamConfig};
 pub use param::{Param, Visit};
-pub use schedule::{clip_grad_norm, WarmupSchedule};
+pub use schedule::clip_grad_norm;
 pub use tensor::{softmax_rows, softmax_rows_backward, Tensor};

@@ -93,11 +93,6 @@ impl Adam {
         self.step
     }
 
-    /// Current learning rate (mutable for simple schedules).
-    pub fn set_lr(&mut self, lr: f32) {
-        self.cfg.lr = lr;
-    }
-
     /// The optimizer's hyper-parameters.
     pub fn config(&self) -> AdamConfig {
         self.cfg
@@ -314,8 +309,13 @@ mod tests {
     fn lr_can_be_scheduled() {
         let mut rng = StdRng::seed_from_u64(4);
         let mut layer = Linear::new(1, 1, &mut rng);
-        let mut opt = Adam::new(&mut layer, AdamConfig::default());
-        opt.set_lr(0.5);
+        let mut opt = Adam::new(
+            &mut layer,
+            AdamConfig {
+                lr: 0.5,
+                ..Default::default()
+            },
+        );
         layer.forward(&Tensor::from_vec(1, 1, vec![1.0]));
         layer.backward(&Tensor::from_vec(1, 1, vec![1.0]));
         let before = layer.w.v.data[0];

@@ -1,6 +1,4 @@
-//! Training schedule utilities: global gradient-norm clipping and the
-//! linear-warmup / inverse-sqrt-decay learning-rate schedule transformers
-//! are customarily trained with.
+//! Training schedule utilities: global gradient-norm clipping.
 
 use crate::param::Visit;
 
@@ -23,29 +21,6 @@ pub fn clip_grad_norm(module: &mut dyn Visit, max_norm: f32) -> f32 {
         module.visit(&mut |p| p.g.scale(scale));
     }
     norm
-}
-
-/// Linear warmup to `peak_lr` over `warmup_steps`, then inverse-square-root
-/// decay (the "Noam" schedule shape).
-#[derive(Debug, Clone, Copy)]
-pub struct WarmupSchedule {
-    /// Peak learning rate, reached at the end of warmup.
-    pub peak_lr: f32,
-    /// Warmup length in optimizer steps (≥ 1).
-    pub warmup_steps: u64,
-}
-
-impl WarmupSchedule {
-    /// Learning rate at optimizer step `step` (1-based).
-    pub fn lr_at(&self, step: u64) -> f32 {
-        let w = self.warmup_steps.max(1);
-        let step = step.max(1);
-        if step <= w {
-            self.peak_lr * step as f32 / w as f32
-        } else {
-            self.peak_lr * ((w as f32) / (step as f32)).sqrt()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -87,29 +62,5 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let mut layer = Linear::new(2, 2, &mut rng);
         clip_grad_norm(&mut layer, 0.0);
-    }
-
-    #[test]
-    fn warmup_shape() {
-        let s = WarmupSchedule {
-            peak_lr: 1e-3,
-            warmup_steps: 10,
-        };
-        assert!(s.lr_at(1) < s.lr_at(5));
-        assert!(s.lr_at(5) < s.lr_at(10));
-        assert!((s.lr_at(10) - 1e-3).abs() < 1e-9);
-        assert!(s.lr_at(40) < s.lr_at(10));
-        // Inverse-sqrt: lr(40) = peak * sqrt(10/40) = peak / 2.
-        assert!((s.lr_at(40) - 5e-4).abs() < 1e-9);
-    }
-
-    #[test]
-    fn degenerate_warmup() {
-        let s = WarmupSchedule {
-            peak_lr: 1.0,
-            warmup_steps: 0,
-        };
-        assert!((s.lr_at(1) - 1.0).abs() < 1e-9);
-        assert!(s.lr_at(100) < 1.0);
     }
 }

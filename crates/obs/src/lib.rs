@@ -146,14 +146,6 @@ pub fn meter(name: &'static str) -> &'static Meter {
     metrics::registry().meter(name)
 }
 
-/// Record a duration (in seconds) into the named histogram.
-#[inline]
-pub fn observe_secs(name: &'static str, secs: f64) {
-    if enabled() {
-        histogram(name).record(secs);
-    }
-}
-
 /// Time a closure into the named histogram and return its result.
 #[inline]
 pub fn time<T>(name: &'static str, f: impl FnOnce() -> T) -> T {

@@ -114,17 +114,6 @@ impl TraceContext {
             prev_span,
         }
     }
-
-    /// A context pointing at `span_id` within the same trace (what a span
-    /// boundary hands to downstream workers).
-    #[must_use]
-    pub fn at_span(&self, span_id: u64) -> TraceContext {
-        TraceContext {
-            trace_id: self.trace_id,
-            span_id,
-            parent: self.span_id,
-        }
-    }
 }
 
 /// RAII guard restoring the previous ambient trace and span on drop.

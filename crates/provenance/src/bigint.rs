@@ -165,11 +165,6 @@ impl BigNat {
         n
     }
 
-    /// Multiply by a small integer in place.
-    pub fn mul_u64(&self, m: u64) -> BigNat {
-        self.mul(&BigNat::from_u64(m))
-    }
-
     /// Total-order comparison.
     #[allow(clippy::should_implement_trait)]
     pub fn cmp(&self, other: &BigNat) -> Ordering {
@@ -263,7 +258,7 @@ mod tests {
         assert_eq!(a.add(&b), BigNat::from_u64(579));
         assert_eq!(b.sub(&a), BigNat::from_u64(333));
         assert_eq!(a.mul(&b), BigNat::from_u64(123 * 456));
-        assert_eq!(a.mul_u64(2), BigNat::from_u64(246));
+        assert_eq!(a.mul(&BigNat::from_u64(2)), BigNat::from_u64(246));
     }
 
     #[test]
@@ -368,7 +363,7 @@ mod tests {
         // 25! computed limb-wise matches the known value.
         let mut f = BigNat::one();
         for i in 1..=25u64 {
-            f = f.mul_u64(i);
+            f = f.mul(&BigNat::from_u64(i));
         }
         assert_eq!(f.to_string(), "15511210043330985984000000");
     }

@@ -1,10 +1,10 @@
 //! # ls-provenance
 //!
 //! Boolean provenance machinery for SPJU query answering: minimized monotone
-//! DNF expressions ([`Dnf`]), Tseytin CNF transformation ([`Cnf`]), a
-//! knowledge compiler from DNF to decision-DNNF circuits ([`compile`]), and
-//! cardinality-resolved exact model counting on those circuits — the
-//! algorithmic substrate behind exact Shapley value computation.
+//! DNF expressions ([`Dnf`]), a knowledge compiler from DNF to
+//! decision-DNNF circuits ([`compile`]), and cardinality-resolved exact
+//! model counting on those circuits — the algorithmic substrate behind exact
+//! Shapley value computation.
 //!
 //! ## Pipeline
 //!
@@ -32,11 +32,9 @@ pub mod circuit;
 pub mod compiler;
 pub mod dot;
 pub mod expr;
-pub mod tseytin;
 
 pub use bigint::BigNat;
 pub use circuit::{Circuit, Node, NodeId};
 pub use compiler::{compile, CompileOptions, CompileStats, Compiled, VarOrder};
 pub use dot::circuit_to_dot;
 pub use expr::Dnf;
-pub use tseytin::{Cnf, CnfVar, Literal};

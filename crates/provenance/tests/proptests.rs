@@ -2,7 +2,7 @@
 //! DNF, and cardinality-resolved model counting matches brute-force
 //! enumeration — with and without conditioning.
 
-use ls_provenance::{compile, Cnf, CompileOptions, Dnf, VarOrder};
+use ls_provenance::{compile, CompileOptions, Dnf, VarOrder};
 use ls_relational::{FactId, Monomial};
 use proptest::prelude::*;
 
@@ -103,21 +103,6 @@ proptest! {
         let total_small = c.circuit.count_models(c.root, &vars).to_f64();
         let total_big = c.circuit.count_models(c.root, &big).to_f64();
         prop_assert_eq!(total_big, total_small * (1u64 << extra) as f64);
-    }
-
-    /// Tseytin CNF agrees with the DNF under the forced auxiliary assignment.
-    #[test]
-    fn tseytin_equisatisfiable(d in small_dnf()) {
-        prop_assume!(!d.is_false());
-        let cnf = Cnf::from_dnf(&d);
-        for assignment in all_assignments(&d.variables()) {
-            let aux: Vec<bool> = d
-                .monomials()
-                .iter()
-                .map(|m| m.facts().iter().all(|f| assignment.binary_search(f).is_ok()))
-                .collect();
-            prop_assert_eq!(d.eval_sorted(&assignment), cnf.eval(&assignment, &aux));
-        }
     }
 
     /// Compilation caching and hash-consing never change semantics: circuit

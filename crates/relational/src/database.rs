@@ -5,7 +5,7 @@
 use crate::dict::ValueDict;
 use crate::fact::FactId;
 use crate::row::IdRow;
-use crate::schema::{Catalog, TableSchema};
+use crate::schema::TableSchema;
 use crate::table::{Row, Table};
 use crate::value::Value;
 use std::collections::BTreeMap;
@@ -151,15 +151,6 @@ impl Database {
             .unwrap_or_else(|| panic!("no such table `{table}`"));
         t.decoded_rows(&self.dict)
     }
-
-    /// The catalog view of this database.
-    pub fn catalog(&self) -> Catalog {
-        let mut c = Catalog::new();
-        for t in self.tables.values() {
-            c.add_table(t.schema.clone());
-        }
-        c
-    }
 }
 
 #[cfg(test)]
@@ -225,9 +216,6 @@ mod tests {
     #[test]
     fn catalog_reflects_tables() {
         let d = db();
-        let c = d.catalog();
-        assert_eq!(c.len(), 2);
-        assert!(c.table("movies").is_some());
         assert_eq!(d.table_names(), vec!["actors", "movies"]);
     }
 

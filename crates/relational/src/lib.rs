@@ -47,7 +47,6 @@ pub mod schema;
 pub mod semiring;
 pub mod sql;
 pub mod table;
-pub mod validate;
 pub mod value;
 
 pub use algebra::{CmpOp, ColRef, JoinCond, Query, Selection, SpjBlock, TableRef};
@@ -61,10 +60,9 @@ pub use results::{
     evaluate, evaluate_interned, InternedResult, InternedTuple, OutputTuple, QueryResult,
 };
 pub use row::IdRow;
-pub use schema::{Catalog, Column, TableSchema};
+pub use schema::{Column, TableSchema};
 pub use semiring::{Counting, DnfTag, MonotoneDnf, Provenance, TopKClauses};
 pub use sql::parser::{parse_query, ParseError};
 pub use sql::printer::to_sql;
 pub use table::{Row, Table};
-pub use validate::{validate, validate_strict, ValidateError};
 pub use value::{ColType, Value, ValueId};

@@ -152,11 +152,6 @@ impl QueryResult {
             .ok()
             .map(|i| &self.tuples[i])
     }
-
-    /// The witness set: output values only (for witness-based similarity).
-    pub fn witnesses(&self) -> Vec<&[Value]> {
-        self.tuples.iter().map(|t| t.values.as_slice()).collect()
-    }
 }
 
 /// Evaluate an SPJU query with provenance tracking, decoding the interned
@@ -477,7 +472,6 @@ mod tests {
         let q = parse_query("SELECT movies.title FROM movies WHERE movies.year = 1999").unwrap();
         let res = evaluate(&db, &q).unwrap();
         assert!(res.is_empty());
-        assert!(res.witnesses().is_empty());
     }
 
     #[test]

@@ -1,7 +1,6 @@
-//! Table schemas and the database catalog.
+//! Table schemas.
 
 use crate::value::ColType;
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// A named, typed column.
@@ -26,7 +25,7 @@ impl Column {
 /// The schema of a single relation: its name and ordered columns.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableSchema {
-    /// Relation name, unique within the catalog.
+    /// Relation name, unique within its database.
     pub name: String,
     /// Ordered column definitions.
     pub columns: Vec<Column>,
@@ -87,47 +86,6 @@ impl fmt::Display for TableSchema {
     }
 }
 
-/// The catalog of relations a database exposes.
-///
-/// Kept separate from [`crate::database::Database`] so queries can be parsed
-/// and validated against a schema without instantiating data.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Catalog {
-    tables: BTreeMap<String, TableSchema>,
-}
-
-impl Catalog {
-    /// An empty catalog.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Register a table schema, replacing any previous schema of that name.
-    pub fn add_table(&mut self, schema: TableSchema) {
-        self.tables.insert(schema.name.clone(), schema);
-    }
-
-    /// Look up a table schema by name.
-    pub fn table(&self, name: &str) -> Option<&TableSchema> {
-        self.tables.get(name)
-    }
-
-    /// Iterate over schemas in name order.
-    pub fn tables(&self) -> impl Iterator<Item = &TableSchema> {
-        self.tables.values()
-    }
-
-    /// Number of registered tables.
-    pub fn len(&self) -> usize {
-        self.tables.len()
-    }
-
-    /// Whether the catalog has no tables.
-    pub fn is_empty(&self) -> bool {
-        self.tables.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,18 +114,6 @@ mod tests {
     #[should_panic(expected = "duplicate column")]
     fn duplicate_column_panics() {
         TableSchema::new("t", &[("a", ColType::Int), ("a", ColType::Str)]);
-    }
-
-    #[test]
-    fn catalog_roundtrip() {
-        let mut c = Catalog::new();
-        assert!(c.is_empty());
-        c.add_table(movies());
-        assert_eq!(c.len(), 1);
-        assert_eq!(c.table("movies").unwrap().arity(), 3);
-        assert!(c.table("actors").is_none());
-        let names: Vec<_> = c.tables().map(|t| t.name.as_str()).collect();
-        assert_eq!(names, vec!["movies"]);
     }
 
     #[test]

@@ -61,9 +61,8 @@ fn naive_evaluate(db: &Database, q: &Query) -> Vec<(Vec<Value>, Vec<Monomial>)> 
                 .expect("alias in scope");
             let table = block.table_of_alias(&c.table).expect("alias resolves");
             let ci = db
-                .catalog()
                 .table(table)
-                .and_then(|s| s.col_index(&c.column))
+                .and_then(|t| t.schema.col_index(&c.column))
                 .expect("column exists");
             rows[combo[pos]].values[ci].clone()
         };

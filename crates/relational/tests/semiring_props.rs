@@ -264,9 +264,8 @@ fn naive_multiplicity(db: &Database, q: &Query) -> BTreeMap<Vec<Value>, u64> {
                 .expect("alias in scope");
             let table = block.table_of_alias(&c.table).expect("alias resolves");
             let ci = db
-                .catalog()
                 .table(table)
-                .and_then(|s| s.col_index(&c.column))
+                .and_then(|t| t.schema.col_index(&c.column))
                 .expect("column exists");
             rows[combo[pos]].values[ci].clone()
         };

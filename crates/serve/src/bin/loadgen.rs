@@ -1333,7 +1333,8 @@ fn read_conn(
         if avail.len() < 4 {
             break;
         }
-        let len = u32::from_le_bytes(avail[..4].try_into().expect("sized")) as usize;
+        let len = proto::frame_len(avail[..4].try_into().expect("sized"))
+            .map_err(|e| format!("frame: {e}"))?;
         if avail.len() < 4 + len {
             break;
         }

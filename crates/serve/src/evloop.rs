@@ -33,7 +33,7 @@
 //! `serve.tcp.read`, every write `serve.tcp.write`.
 
 use crate::poller::{drain_wake, Event, Interest, Poller, Waker};
-use crate::proto::{self, AdminCommand, Frame, BINARY_VERSION, HELLO_LEN, MAGIC, MAX_FRAME};
+use crate::proto::{self, AdminCommand, Frame, BINARY_VERSION, HELLO_LEN, MAGIC};
 use crate::server::{ServeError, ServeHandle};
 use crate::tcp::TcpOptions;
 use ls_fault::{lock_safe, FaultyRead, FaultyWrite, Injector};
@@ -500,13 +500,12 @@ fn process_frames(conn: &mut Conn, ctx: &ShardCtx, slot: usize) -> Result<(), Cl
         if avail.len() < 4 {
             break;
         }
-        let len = u32::from_le_bytes(avail[..4].try_into().expect("sized slice"));
-        if len > MAX_FRAME {
+        let prefix = avail[..4].try_into().expect("sized slice");
+        let Ok(len) = proto::frame_len(prefix) else {
             // Corrupt or hostile prefix: never allocate it, tear this
             // connection only.
             return Err(Close::Torn);
-        }
-        let len = len as usize;
+        };
         if avail.len() < 4 + len {
             break; // partial frame: resume when more bytes land
         }

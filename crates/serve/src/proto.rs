@@ -104,6 +104,20 @@ pub fn frame_error(e: &io::Error) -> Option<&FrameError> {
     e.get_ref().and_then(|inner| inner.downcast_ref())
 }
 
+/// The payload length a frame's little-endian `u32` prefix declares. A
+/// length past [`MAX_FRAME`] is [`FrameError::TooLarge`]: a corrupt or
+/// hostile prefix must not drive an allocation.
+pub fn frame_len(prefix: [u8; 4]) -> Result<usize, FrameError> {
+    let len = u32::from_le_bytes(prefix);
+    if len > MAX_FRAME {
+        return Err(FrameError::TooLarge {
+            len: u64::from(len),
+            cap: MAX_FRAME,
+        });
+    }
+    Ok(len as usize)
+}
+
 /// Read one length-prefixed frame. Returns `Ok(None)` on a clean EOF at a
 /// frame boundary (the peer hung up between requests).
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
@@ -122,17 +136,8 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
         }
         filled += n;
     }
-    let len = u32::from_le_bytes(len_buf);
-    if len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            FrameError::TooLarge {
-                len: len as u64,
-                cap: MAX_FRAME,
-            },
-        ));
-    }
-    let mut payload = vec![0u8; len as usize];
+    let len = frame_len(len_buf).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+    let mut payload = vec![0u8; len];
     r.read_exact(&mut payload)?;
     Ok(Some(payload))
 }
@@ -683,6 +688,21 @@ mod tests {
         assert_eq!(read_frame(&mut cursor).unwrap().unwrap(), b"hello");
         assert_eq!(read_frame(&mut cursor).unwrap().unwrap(), b"");
         assert!(read_frame(&mut cursor).unwrap().is_none(), "clean EOF");
+    }
+
+    #[test]
+    fn frame_len_caps_at_max_frame() {
+        assert_eq!(frame_len(0u32.to_le_bytes()), Ok(0));
+        assert_eq!(frame_len(MAX_FRAME.to_le_bytes()), Ok(MAX_FRAME as usize));
+        for len in [MAX_FRAME + 1, u32::MAX] {
+            assert_eq!(
+                frame_len(len.to_le_bytes()),
+                Err(FrameError::TooLarge {
+                    len: u64::from(len),
+                    cap: MAX_FRAME,
+                })
+            );
+        }
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! CNF Proxy — the fast, inexact ranking heuristic of the paper's `[15]`.
 //!
-//! The original CNF Proxy starts from the non-factorized DNF provenance,
-//! applies the Tseytin transformation to obtain a CNF, and scores facts on
-//! that CNF instead of solving the intractable exact problem. The published
-//! description leaves the scoring function abstract; we reproduce it with a
-//! probabilistic clause-weight score that preserves the proxy's two key
-//! behavioural properties:
+//! The original CNF Proxy applies the Tseytin transformation to the
+//! non-factorized DNF provenance and scores facts on the resulting CNF
+//! instead of solving the intractable exact problem. The Tseytin CNF of a
+//! monotone DNF has one auxiliary per monomial, tied to exactly that
+//! monomial's facts, so this implementation scores the monomials directly.
+//! The published description leaves the scoring function abstract; we
+//! reproduce it with a probabilistic clause-weight score that preserves the
+//! proxy's two key behavioural properties:
 //!
 //! * facts appearing in more derivations score higher, and
 //! * facts inside shorter (more constraining) monomials score higher.
@@ -19,28 +21,16 @@
 //! sum to 1 so they are comparable with Shapley vectors.
 
 use crate::exact::FactScores;
-use ls_provenance::{Cnf, CnfVar, Dnf};
+use ls_provenance::Dnf;
 
-/// Rank facts with the CNF-proxy heuristic.
-///
-/// The Tseytin CNF is materialized (as in `[15]`) and the score of a fact is
-/// accumulated from the clauses that tie its monomial auxiliaries together:
-/// each binary clause `(¬y_i ∨ f)` contributes `2^{-(|m_i|-1)}` to `f`, where
-/// `|m_i|` is recovered from the corresponding "backward" clause length.
+/// Rank facts with the CNF-proxy heuristic: each monomial `m` adds
+/// `2^{-(|m|-1)}` to every fact in it, and the scores are normalized to sum
+/// to 1. The constants `true` and `false` yield no scores.
 pub fn cnf_proxy_scores(provenance: &Dnf) -> FactScores {
     let mut out = FactScores::new();
     if provenance.is_false() || provenance.is_true() {
         return out;
     }
-    // Build the CNF (kept for fidelity with [15]'s pipeline and exercised by
-    // the equisatisfiability tests); the clause structure mirrors the
-    // monomials exactly, so scoring walks monomials directly.
-    let cnf = Cnf::from_dnf(provenance);
-    debug_assert!(cnf
-        .clauses
-        .iter()
-        .any(|c| c.iter().all(|l| matches!(l.var, CnfVar::Aux(_)))));
-
     for m in provenance.monomials() {
         let len = m.len().max(1);
         let weight = 0.5f64.powi(len as i32 - 1);

@@ -6,8 +6,8 @@
 //! downstream users can depend on a single package.
 //!
 //! * [`relational`] — SPJU engine with fact-annotated provenance evaluation;
-//! * [`provenance`] — Boolean provenance, Tseytin CNF, decision-DNNF
-//!   knowledge compiler, exact cardinality-resolved model counting;
+//! * [`provenance`] — Boolean provenance, decision-DNNF knowledge
+//!   compiler, exact cardinality-resolved model counting;
 //! * [`shapley`] — exact / sampled / proxy Shapley values of facts;
 //! * [`similarity`] — syntax-, witness-, and rank-based query similarity;
 //! * [`nn`] — the transformer-encoder substrate with manual backprop;
