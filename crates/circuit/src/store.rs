@@ -1,19 +1,20 @@
 //! The keyed, persisted compiled-circuit store.
 //!
 //! Circuits are indexed by their [`ShapeKey`]: recurring lineage *shapes* —
-//! across output tuples, dataset builds, and serving — compile once,
-//! persist via `ls_fault::persist` (crash-atomic `write_atomic`, CRC-sealed
-//! footer), and load thereafter. An in-process LRU keeps hot entries
-//! resident; canonical Shapley scores can be attached to an entry and
-//! persisted alongside the circuit, turning a warm hit into a pure lookup.
+//! across output tuples, dataset builds, and serving — compile once and
+//! load thereafter. An in-process LRU keeps hot entries resident. A fresh
+//! compile stays resident only; attaching its canonical Shapley scores
+//! ([`CircuitStore::put_scores`]) is the one write of a new shape: circuit,
+//! model count and scores in one `ls_fault::persist` file (crash-atomic
+//! `write_atomic`, CRC-sealed footer), so a warm hit is a pure lookup.
 //!
 //! Loads are hardened: every corruption mode (truncation, bit rot, wrong
 //! magic/version, injected mid-read faults via [`ls_fault::FaultyRead`])
 //! yields a typed [`StoreError`], bumps `circuit.store.load_errors`, and
-//! falls back to a fresh compilation that re-persists the entry. The store
-//! never panics on bad bytes and never serves a circuit whose recorded
-//! canonical clauses or universe size disagree with the requested shape, or
-//! whose variables leave that universe.
+//! falls back to a fresh compilation, whose scores then replace the bad
+//! file. The store never panics on bad bytes and never serves a circuit
+//! whose recorded canonical clauses or universe size disagree with the
+//! requested shape, or whose variables leave that universe.
 
 use crate::format::{self, EntryData, StoreError};
 use crate::shape::{CanonicalShape, ShapeKey};
@@ -182,7 +183,9 @@ impl CircuitStore {
 
     /// The compiled circuit of `shape` — from memory, from disk, or by
     /// compiling fresh (in that order). Always succeeds: every load failure
-    /// is typed, counted, and recovered by compilation.
+    /// is typed, counted, and recovered by compilation. A fresh compile is
+    /// kept resident but not written: [`CircuitStore::put_scores`] persists
+    /// it.
     pub fn get_or_compile_shape(&self, shape: &CanonicalShape) -> Arc<CircuitEntry> {
         if let Some(entry) = self.probe_memory(shape.key) {
             self.mem_hits.fetch_add(1, Ordering::Relaxed);
@@ -208,16 +211,16 @@ impl CircuitStore {
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         ls_obs::counter("circuit.store.misses").incr();
-        self.compile_and_keep(shape)
+        self.compile_resident(shape)
     }
 
     /// Replace the entry for `shape` after its circuit failed a check only
     /// scoring makes — a negative marginal count, which no compilation of a
-    /// monotone lineage has: count a load error, compile afresh, and persist
-    /// over the bad file.
+    /// monotone lineage has: count a load error and compile afresh. The
+    /// fresh entry's [`CircuitStore::put_scores`] writes over the bad file.
     pub fn recompile(&self, shape: &CanonicalShape) -> Arc<CircuitEntry> {
         self.count_load_error("circuit.store.load_errors.marginal");
-        self.compile_and_keep(shape)
+        self.compile_resident(shape)
     }
 
     fn count_load_error(&self, kind: &'static str) {
@@ -226,17 +229,17 @@ impl CircuitStore {
         ls_obs::counter(kind).incr();
     }
 
-    fn compile_and_keep(&self, shape: &CanonicalShape) -> Arc<CircuitEntry> {
+    fn compile_resident(&self, shape: &CanonicalShape) -> Arc<CircuitEntry> {
         let entry = Arc::new(self.compile_fresh(shape));
-        // Best-effort persistence: a full disk must not fail the answer.
-        let _ = self.persist(&entry);
         self.insert(Arc::clone(&entry));
         entry
     }
 
-    /// Attach canonical Shapley scores to a resident entry and persist them
-    /// so future loads of this shape skip counting entirely. First writer
-    /// wins; later calls with the same entry are no-ops.
+    /// Attach canonical Shapley scores to an entry and persist the entry —
+    /// circuit, model count and scores in one sealed write — so future
+    /// loads of this shape skip compiling and counting entirely. This is
+    /// the only write of a freshly compiled shape. First writer wins; later
+    /// calls with the same entry write nothing.
     pub fn put_scores(&self, entry: &Arc<CircuitEntry>, scores: Vec<f64>) -> io::Result<()> {
         debug_assert_eq!(scores.len(), entry.n_players as usize);
         if entry.scores.set(scores).is_err() {

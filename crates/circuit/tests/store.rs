@@ -4,9 +4,11 @@
 //! bit rot under the CRC, wrong magic, wrong version, injected mid-read
 //! faults — yields a typed error internally, is counted in
 //! `StoreStats::load_errors`, and the store transparently falls back to a
-//! fresh compilation (and re-persists a good entry). No panics, ever.
+//! fresh compilation (whose scores re-persist a good entry). No panics,
+//! ever. A new shape reaches disk only when its scores are attached, so the
+//! tests that read a file attach scores first.
 
-use ls_circuit::{CanonicalShape, CircuitStore, ShapeKey};
+use ls_circuit::{CanonicalShape, CircuitEntry, CircuitStore, ShapeKey};
 use ls_fault::{FaultKind, FaultPlan, FaultRule, FaultSpec};
 use ls_provenance::Dnf;
 use ls_relational::{FactId, Monomial};
@@ -33,6 +35,15 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// Look `shape` up and attach placeholder scores: the write that persists a
+/// freshly compiled shape.
+fn scored(store: &CircuitStore, shape: &CanonicalShape) -> Arc<CircuitEntry> {
+    let entry = store.get_or_compile_shape(shape);
+    let scores = (0..entry.n_players).map(|i| f64::from(i) / 8.0).collect();
+    store.put_scores(&entry, scores).unwrap();
+    entry
+}
+
 /// Corrupt the persisted entry for `key` by rewriting its bytes with `f`.
 fn mangle(dir: &Path, key: ShapeKey, f: impl FnOnce(Vec<u8>) -> Vec<u8>) {
     let path = dir.join(format!("{}.lsc", key.to_hex()));
@@ -47,7 +58,7 @@ fn cold_compile_then_warm_reload_round_trips() {
 
     let cold = CircuitStore::open(&dir, 8).unwrap();
     let shape = CanonicalShape::of(&d);
-    let entry = cold.get_or_compile_shape(&shape);
+    let entry = scored(&cold, &shape);
     assert_eq!(cold.stats().misses, 1);
     assert!(cold.entry_path(shape.key).exists());
 
@@ -98,11 +109,11 @@ fn truncated_file_falls_back_to_fresh_compile() {
     let d = wide_dnf();
     let a = CircuitStore::open(&dir, 8).unwrap();
     let shape = CanonicalShape::of(&d);
-    let original = a.get_or_compile_shape(&shape);
+    let original = scored(&a, &shape);
     mangle(&dir, shape.key, |bytes| bytes[..bytes.len() / 2].to_vec());
 
     let b = CircuitStore::open(&dir, 8).unwrap();
-    let recovered = b.get_or_compile_shape(&CanonicalShape::of(&d));
+    let recovered = scored(&b, &CanonicalShape::of(&d));
     let stats = b.stats();
     assert_eq!(
         (stats.load_errors, stats.misses, stats.disk_hits),
@@ -110,7 +121,8 @@ fn truncated_file_falls_back_to_fresh_compile() {
     );
     assert_eq!(recovered.circuit.nodes(), original.circuit.nodes());
 
-    // The fallback re-persisted a good entry: a third store disk-hits.
+    // The fallback's scores re-persisted a good entry: a third store
+    // disk-hits.
     let c = CircuitStore::open(&dir, 8).unwrap();
     let _ = c.get_or_compile_shape(&CanonicalShape::of(&d));
     assert_eq!(c.stats().disk_hits, 1);
@@ -123,7 +135,7 @@ fn flipped_crc_byte_is_detected() {
     let d = wide_dnf();
     let a = CircuitStore::open(&dir, 8).unwrap();
     let shape = CanonicalShape::of(&d);
-    let _ = a.get_or_compile_shape(&shape);
+    let _ = scored(&a, &shape);
     mangle(&dir, shape.key, |mut bytes| {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x04;
@@ -147,7 +159,7 @@ fn wrong_magic_and_wrong_version_are_typed_rejections() {
         let d = wide_dnf();
         let a = CircuitStore::open(&dir, 8).unwrap();
         let shape = CanonicalShape::of(&d);
-        let _ = a.get_or_compile_shape(&shape);
+        let _ = scored(&a, &shape);
         // Patch inside the body, then re-seal so the CRC is valid — this
         // exercises the magic/version checks, not the checksum.
         mangle(&dir, shape.key, |bytes| {
@@ -173,9 +185,9 @@ fn shape_collision_guard_rejects_misfiled_entries() {
     let d2 = dnf(&[&[0], &[1, 2]]);
     let a = CircuitStore::open(&dir, 8).unwrap();
     let s1 = CanonicalShape::of(&d1);
-    let _ = a.get_or_compile_shape(&s1);
+    let _ = scored(&a, &s1);
     let s2 = CanonicalShape::of(&d2);
-    let _ = a.get_or_compile_shape(&s2);
+    let _ = scored(&a, &s2);
     // Copy d2's entry over d1's path: valid file, wrong shape.
     let bytes = fs::read(a.entry_path(s2.key)).unwrap();
     fs::write(a.entry_path(s1.key), bytes).unwrap();
@@ -198,7 +210,7 @@ fn faulty_read_mid_load_falls_back_without_panicking() {
         });
         let d = wide_dnf();
         let seed_store = CircuitStore::open(&dir, 8).unwrap();
-        let original = seed_store.get_or_compile_shape(&CanonicalShape::of(&d));
+        let original = scored(&seed_store, &CanonicalShape::of(&d));
 
         // Fault every read at the store's injection site.
         let spec = FaultSpec::new().rule(FaultRule::every("circuit.store.read", kind, 1, 0));
@@ -229,7 +241,7 @@ fn lru_evicts_but_disk_still_answers() {
         })
         .collect();
     for d in &shapes {
-        let _ = store.get_or_compile_shape(&CanonicalShape::of(d));
+        let _ = scored(&store, &CanonicalShape::of(d));
     }
     assert!(store.stats().evictions >= 2);
     // Every shape still answers: evicted ones reload from disk.
@@ -243,7 +255,7 @@ fn lru_evicts_but_disk_still_answers() {
 
 /// A write torn mid-stream by an injected fault — not hand-truncation —
 /// leaves a partial `.lsc` on disk; the next store detects it, counts it,
-/// falls back, and heals the file by re-persisting a good entry.
+/// falls back, and heals the file when the fresh entry's scores persist it.
 #[test]
 fn torn_write_via_injection_is_detected_and_healed() {
     use std::io::Write;
@@ -252,7 +264,7 @@ fn torn_write_via_injection_is_detected_and_healed() {
     let d = wide_dnf();
     let seed_store = CircuitStore::open(&dir, 8).unwrap();
     let shape = CanonicalShape::of(&d);
-    let original = seed_store.get_or_compile_shape(&shape);
+    let original = scored(&seed_store, &shape);
     let path = seed_store.entry_path(shape.key);
     let good = fs::read(&path).unwrap();
 
@@ -278,7 +290,7 @@ fn torn_write_via_injection_is_detected_and_healed() {
     );
 
     let healed = CircuitStore::open(&dir, 8).unwrap();
-    let entry = healed.get_or_compile_shape(&CanonicalShape::of(&d));
+    let entry = scored(&healed, &CanonicalShape::of(&d));
     let stats = healed.stats();
     assert_eq!(stats.load_errors, 1, "torn file must be counted");
     assert_eq!(stats.misses, 1, "torn file must force a fresh compile");
@@ -288,7 +300,8 @@ fn torn_write_via_injection_is_detected_and_healed() {
         "fallback compile must agree with the original"
     );
 
-    // The fallback re-persisted: a third store loads cleanly from disk.
+    // The fallback's scores re-persisted it: a third store loads cleanly
+    // from disk.
     let reread = CircuitStore::open(&dir, 8).unwrap();
     let _ = reread.get_or_compile_shape(&CanonicalShape::of(&d));
     let stats = reread.stats();
@@ -312,7 +325,7 @@ fn persisted_entry_footer_uses_the_shared_ls_fault_crc32() {
     let d = wide_dnf();
     let store = CircuitStore::open(&dir, 8).unwrap();
     let shape = CanonicalShape::of(&d);
-    let _ = store.get_or_compile_shape(&shape);
+    let _ = scored(&store, &shape);
     let bytes = fs::read(store.entry_path(shape.key)).unwrap();
 
     // Footer layout: magic (4) + body length u64 + crc32 u32, all LE.
@@ -329,5 +342,46 @@ fn persisted_entry_footer_uses_the_shared_ls_fault_crc32() {
         ls_fault::crc32(body),
         "footer crc must be ls_fault::crc32 of the body"
     );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A new shape is written once: a compile alone leaves the directory empty
+/// (the entry is resident, so `probe` still reports a cached circuit), the
+/// first `put_scores` writes one sealed file carrying circuit and scores,
+/// and a second `put_scores` on the same entry writes nothing.
+#[test]
+fn a_new_shape_is_written_once_by_put_scores() {
+    let dir = temp_dir("write_once");
+    let d = wide_dnf();
+    let store = CircuitStore::open(&dir, 8).unwrap();
+    let shape = CanonicalShape::of(&d);
+    let files = || fs::read_dir(&dir).unwrap().count();
+
+    let entry = store.get_or_compile_shape(&shape);
+    assert_eq!(files(), 0, "a compile alone must not write");
+    assert_eq!(store.probe(&shape), (true, false));
+
+    let scores: Vec<f64> = (0..entry.n_players)
+        .map(|i| 1.0 / f64::from(i + 3))
+        .collect();
+    store.put_scores(&entry, scores.clone()).unwrap();
+    assert_eq!(files(), 1, "put_scores writes exactly one file");
+    assert_eq!(store.probe(&shape), (true, true));
+    let path = store.entry_path(shape.key);
+    let bytes = fs::read(&path).unwrap();
+    let data = ls_circuit::format::decode(ls_fault::unseal(&bytes).unwrap()).unwrap();
+    assert_eq!(data.circuit.nodes(), entry.circuit.nodes());
+    assert_eq!(data.model_count, entry.model_count);
+    let stored = data.scores.expect("the one write carries the scores");
+    assert_eq!(stored.len(), scores.len());
+    for (x, y) in scores.iter().zip(&stored) {
+        assert_eq!(x.to_bits(), y.to_bits());
+    }
+
+    // Remove the file: a second attach would have to write it again.
+    fs::remove_file(&path).unwrap();
+    store.put_scores(&entry, vec![0.5; scores.len()]).unwrap();
+    assert_eq!(files(), 0, "a second put_scores must not write");
+    assert_eq!(entry.scores().unwrap(), &scores[..], "first writer wins");
     let _ = fs::remove_dir_all(&dir);
 }

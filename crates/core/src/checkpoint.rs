@@ -91,13 +91,15 @@ pub struct TrainCheckpoint {
     pub best_epoch: usize,
     /// The shuffle seed the run was started with (must match on resume).
     pub seed: u64,
-    /// Live weights at the end of `epochs_done`.
-    pub model: Snapshot,
+    /// Live weights at the end of `epochs_done`. Crate-private, like the
+    /// two fields below: [`TrainCheckpoint::restore`], which checks the
+    /// layout first, is the only way into a model.
+    pub(crate) model: Snapshot,
     /// Best-so-far weights.
-    pub best: Snapshot,
+    pub(crate) best: Snapshot,
     /// Serialized Adam state: the `LSAD` bytes of [`Adam::write_state`],
     /// decoded and checked against the model by [`TrainCheckpoint::restore`].
-    pub opt_state: Vec<u8>,
+    pub(crate) opt_state: Vec<u8>,
 }
 
 impl TrainCheckpoint {

@@ -332,7 +332,7 @@ pub fn replay_train(
     tokenizer: Tokenizer,
     cfg: OnlineConfig,
 ) -> io::Result<OnlineTrainer> {
-    let (records, _report) = ls_wal::replay(wal_dir)
+    let (records, _report) = ls_wal::replay(wal_dir, 0)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
     let mut trainer = OnlineTrainer::new(model, tokenizer, cfg);
     for (lsn, payload) in records {

@@ -130,7 +130,7 @@ fn checkpoint_restart_matches_uninterrupted_replay() {
 
     // Interrupted run: consume roughly half the stream, checkpoint, "crash",
     // resume in a fresh trainer, and finish from the WAL watermark.
-    let (wal_records, _) = ls_wal::replay(&wal_dir).unwrap();
+    let (wal_records, _) = ls_wal::replay(&wal_dir, 0).unwrap();
     let half = wal_records.len() / 2;
     let ck_path = std::env::temp_dir().join(format!("ls-online-ck-{}.lstc", std::process::id()));
     let _ = std::fs::remove_file(&ck_path);

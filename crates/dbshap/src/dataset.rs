@@ -6,10 +6,10 @@
 //! knowledge-compilation pipeline, and split *queries* 70/10/20 into
 //! train/dev/test.
 
-use crate::querygen::{generate_query_log, QueryGenConfig, SchemaSpec};
+use crate::querygen::{generate_log, QueryGenConfig, SchemaSpec};
 use ls_circuit::{CanonicalShape, CircuitStore};
 use ls_provenance::Dnf;
-use ls_relational::{evaluate, to_sql, Database, FactId, Query, QueryResult};
+use ls_relational::{to_sql, Database, FactId, Query, QueryResult};
 use ls_shapley::{shapley_values, shapley_values_stored, FactScores};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -119,6 +119,10 @@ impl Dataset {
     /// warm store turns most of the offline pass into cache lookups — and a
     /// persisted store directory survives across builds. Scores are
     /// bit-identical to the storeless build (pinned by test).
+    ///
+    /// Each query is evaluated once, by the log generator, which validates
+    /// it on its result; the record keeps that result, and only the ground
+    /// truth runs after generation.
     pub fn build_with_store(
         db: Database,
         spec: &SchemaSpec,
@@ -126,25 +130,32 @@ impl Dataset {
         store: Option<&CircuitStore>,
     ) -> Dataset {
         let mut sp = ls_obs::span("dbshap.build").with("db", spec.name);
-        let log = generate_query_log(&db, spec, &cfg.query_gen);
+        let mut log = Vec::new();
+        generate_log(&db, spec, &cfg.query_gen, |query, result| {
+            log.push((query, result))
+        });
         sp.record("queries", log.len());
-        // Queries are evaluated and ground-truthed across the ls-par pool —
-        // each is a pure function of the shared read-only database, so the
-        // id-ordered result is identical at every thread count. The
-        // per-tuple Shapley fan-out inside `ground_truth` (and the per-fact
-        // fan-out inside `shapley_values`) runs inline on the same worker:
-        // parallelism nests only one level.
-        let queries: Vec<QueryRecord> = ls_par::par_map(&log, |id, query| {
-            let result = evaluate(&db, query).expect("generated query must evaluate");
-            let tuples = ls_obs::time("dbshap.ground_truth", || ground_truth(&result, cfg, store));
-            QueryRecord {
+        // Queries are ground-truthed across the ls-par pool — each is a pure
+        // function of its result, so the id-ordered output is identical at
+        // every thread count. The per-tuple Shapley fan-out inside
+        // `ground_truth` (and the per-fact fan-out inside `shapley_values`)
+        // runs inline on the same worker: parallelism nests only one level.
+        let truths = ls_par::par_map(&log, |_, (query, result)| {
+            let tuples = ls_obs::time("dbshap.ground_truth", || ground_truth(result, cfg, store));
+            (to_sql(query), tuples)
+        });
+        let queries: Vec<QueryRecord> = log
+            .into_iter()
+            .zip(truths)
+            .enumerate()
+            .map(|(id, ((query, result), (sql, tuples)))| QueryRecord {
                 id,
-                sql: to_sql(query),
-                query: query.clone(),
+                sql,
+                query,
                 result,
                 tuples,
-            }
-        });
+            })
+            .collect();
         let recorded_tuples: u64 = queries.iter().map(|q| q.tuples.len() as u64).sum();
         sp.record("recorded_tuples", recorded_tuples);
         if ls_obs::enabled() {

@@ -6,10 +6,16 @@
 //! a mix of selective predicates. The generator produces base queries by
 //! random walks on the schema join graph and then emits mutated family
 //! members, validating every query to be non-empty on the database.
+//!
+//! Validation is the only evaluation a query gets: each candidate is
+//! evaluated once, and an accepted one leaves the generator together with
+//! that result. [`generate_query_log`] drops the results as it goes; the
+//! dataset builder ([`crate::Dataset::build_with_store`]) keeps them for
+//! its records and runs only the Shapley ground truth afterwards.
 
 use ls_relational::{
-    evaluate, to_sql, CmpOp, ColRef, Database, JoinCond, Query, Selection, SpjBlock, TableRef,
-    Value,
+    evaluate, to_sql, CmpOp, ColRef, Database, JoinCond, Query, QueryResult, Selection, SpjBlock,
+    TableRef, Value,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -127,110 +133,111 @@ impl Default for QueryGenConfig {
 
 /// Generate a validated (non-empty-result, deduplicated) query log.
 pub fn generate_query_log(db: &Database, spec: &SchemaSpec, cfg: &QueryGenConfig) -> Vec<Query> {
+    let mut log = Vec::new();
+    generate_log(db, spec, cfg, |q, _| log.push(q));
+    log
+}
+
+/// The generator behind [`generate_query_log`]: every candidate is
+/// evaluated once, and each accepted query goes to `sink` together with the
+/// result it was validated with, in log order. The dataset builder keeps
+/// those results; [`generate_query_log`] drops each at once.
+pub(crate) fn generate_log(
+    db: &Database,
+    spec: &SchemaSpec,
+    cfg: &QueryGenConfig,
+    sink: impl FnMut(Query, QueryResult),
+) {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut log: Vec<Query> = Vec::new();
-    let mut seen: HashSet<String> = HashSet::new();
-    let mut seen_semantics: HashSet<String> = HashSet::new();
+    let mut log = Accept {
+        cap: cfg.num_queries,
+        len: 0,
+        seen: HashSet::new(),
+        seen_semantics: HashSet::new(),
+        sink,
+    };
     if cfg.wide_joins > 0 {
-        for q in generate_wide_join_log(db, spec, cfg.wide_joins, cfg.seed) {
-            push_if_new(
-                db,
-                q,
-                &mut log,
-                &mut seen,
-                &mut seen_semantics,
-                cfg.num_queries,
-            );
+        for (q, result) in wide_joins(db, spec, cfg.wide_joins, cfg.seed, |r| r) {
+            log.offer(q, result);
         }
     }
     let mut attempts = 0usize;
     let attempt_budget = cfg.num_queries * 300;
-    while log.len() < cfg.num_queries && attempts < attempt_budget {
+    while log.len < cfg.num_queries && attempts < attempt_budget {
         attempts += 1;
-        let Some(base) = try_base_query(db, spec, cfg, &mut rng) else {
+        let Some((base, result)) = try_base_query(db, spec, cfg, &mut rng) else {
             continue;
         };
-        push_if_new(
-            db,
-            base.clone(),
-            &mut log,
-            &mut seen,
-            &mut seen_semantics,
-            cfg.num_queries,
-        );
+        log.offer(base.clone(), result);
         for _ in 0..cfg.mutations_per_base {
-            if log.len() >= cfg.num_queries {
+            if log.len >= cfg.num_queries {
                 break;
             }
-            if let Some(mutant) = try_mutate(db, spec, &base, &mut rng) {
-                push_if_new(
-                    db,
-                    mutant,
-                    &mut log,
-                    &mut seen,
-                    &mut seen_semantics,
-                    cfg.num_queries,
-                );
+            if let Some((mutant, result)) = try_mutate(db, spec, &base, &mut rng) {
+                log.offer(mutant, result);
             }
         }
     }
     assert!(
-        log.len() >= cfg.num_queries.min(4),
+        log.len >= cfg.num_queries.min(4),
         "query generation starved: only {} of {} (db too small?)",
-        log.len(),
+        log.len,
         cfg.num_queries
     );
-    log
 }
 
-fn push_if_new(
-    db: &Database,
-    q: Query,
-    log: &mut Vec<Query>,
-    seen: &mut HashSet<String>,
-    seen_semantics: &mut HashSet<String>,
+/// The log's acceptance rule: below the cap, SQL not seen before, and a
+/// result no earlier query had.
+struct Accept<F> {
     cap: usize,
-) {
-    if log.len() >= cap {
-        return;
-    }
-    let sql = to_sql(&q);
-    if !seen.insert(sql) {
-        return;
-    }
-    let Ok(result) = evaluate(db, &q) else { return };
-    if result.is_empty() {
-        return;
-    }
-    // Semantic signature: output tuples plus their provenance. Two queries
-    // with identical signatures are indistinguishable to every downstream
-    // consumer (same witnesses, same lineages, same Shapley values) — a
-    // mutation that only toggles DISTINCT or adds a vacuous predicate would
-    // otherwise let log-lookup baselines memorize the test set.
-    let mut sig = String::new();
-    for t in &result.tuples {
-        sig.push_str(&t.value_string());
-        for m in &t.derivations {
-            sig.push_str(&m.to_string());
+    len: usize,
+    seen: HashSet<String>,
+    seen_semantics: HashSet<String>,
+    sink: F,
+}
+
+impl<F: FnMut(Query, QueryResult)> Accept<F> {
+    fn offer(&mut self, q: Query, result: QueryResult) {
+        if self.len >= self.cap || !self.seen.insert(to_sql(&q)) {
+            return;
         }
-        sig.push(';');
-    }
-    if seen_semantics.insert(sig) {
-        log.push(q);
+        // Semantic signature: output tuples plus their provenance. Two
+        // queries with identical signatures are indistinguishable to every
+        // downstream consumer (same witnesses, same lineages, same Shapley
+        // values) — a mutation that only toggles DISTINCT or adds a vacuous
+        // predicate would otherwise let log-lookup baselines memorize the
+        // test set.
+        let mut sig = String::new();
+        for t in &result.tuples {
+            sig.push_str(&t.value_string());
+            for m in &t.derivations {
+                sig.push_str(&m.to_string());
+            }
+            sig.push(';');
+        }
+        if self.seen_semantics.insert(sig) {
+            self.len += 1;
+            (self.sink)(q, result);
+        }
     }
 }
 
-fn non_empty(db: &Database, q: &Query) -> bool {
-    evaluate(db, q).map(|r| !r.is_empty()).unwrap_or(false)
+/// `q` with its result, if it evaluates to a non-empty one.
+fn validated(db: &Database, q: Query) -> Option<(Query, QueryResult)> {
+    match evaluate(db, &q) {
+        Ok(result) if !result.is_empty() => Some((q, result)),
+        _ => None,
+    }
 }
 
-/// One random base query, or `None` if the draw produced an empty result.
+/// One random base query with its result, or `None` if the draw produced
+/// an empty result.
 fn try_base_query(
     db: &Database,
     spec: &SchemaSpec,
     cfg: &QueryGenConfig,
     rng: &mut StdRng,
-) -> Option<Query> {
+) -> Option<(Query, QueryResult)> {
     let block = random_block(db, spec, cfg, rng)?;
     let query = if rng.gen_bool(cfg.union_prob) {
         // Union with a predicate-mutated sibling of the same projection.
@@ -246,7 +253,7 @@ fn try_base_query(
     } else {
         Query::single(block)
     };
-    non_empty(db, &query).then_some(query)
+    validated(db, query)
 }
 
 /// Random connected SPJ block via a walk on the join graph.
@@ -385,8 +392,14 @@ fn sample_value(db: &Database, table: &str, col: &str, rng: &mut StdRng) -> Opti
     db.cell(table, row, idx).cloned()
 }
 
-/// Mutate a base query into a near-duplicate family member.
-fn try_mutate(db: &Database, spec: &SchemaSpec, base: &Query, rng: &mut StdRng) -> Option<Query> {
+/// Mutate a base query into a near-duplicate family member, returned with
+/// its result if that is non-empty.
+fn try_mutate(
+    db: &Database,
+    spec: &SchemaSpec,
+    base: &Query,
+    rng: &mut StdRng,
+) -> Option<(Query, QueryResult)> {
     let mut q = base.clone();
     let choice = rng.gen_range(0..3u8);
     match choice {
@@ -440,7 +453,7 @@ fn try_mutate(db: &Database, spec: &SchemaSpec, base: &Query, rng: &mut StdRng) 
             }
         }
     }
-    non_empty(db, &q).then_some(q)
+    validated(db, q)
 }
 
 fn mutate_selections(db: &Database, spec: &SchemaSpec, block: &mut SpjBlock, rng: &mut StdRng) {
@@ -486,9 +499,27 @@ pub fn generate_wide_join_log(
     num_queries: usize,
     seed: u64,
 ) -> Vec<Query> {
+    wide_joins(db, spec, num_queries, seed, drop)
+        .into_iter()
+        .map(|(q, ())| q)
+        .collect()
+}
+
+/// The `num_queries` widest candidates of [`generate_wide_join_log`], in its
+/// order, each with what `keep` makes of the result it was scored on. Only
+/// the kept candidates' results are held.
+fn wide_joins<T>(
+    db: &Database,
+    spec: &SchemaSpec,
+    num_queries: usize,
+    seed: u64,
+    keep: impl Fn(QueryResult) -> T,
+) -> Vec<(Query, T)> {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x71de_3014);
     let mut seen: HashSet<String> = HashSet::new();
-    let mut scored: Vec<(usize, String, Query)> = Vec::new();
+    // Widest first, SQL text breaking ties; SQL is unique, so the order is
+    // total and keeping the best `num_queries` as they come is a top-n.
+    let mut best: Vec<(usize, String, Query, T)> = Vec::new();
     for &(t1, c1, t2, c2) in &spec.joins {
         // Either side of the edge may be the fanout side; the width score
         // filters out the unique-key orientation.
@@ -513,15 +544,18 @@ pub fn generate_wide_join_log(
                         .max()
                         .unwrap_or(0);
                     if width >= 2 {
-                        scored.push((width, sql, q));
+                        let at = best
+                            .partition_point(|(w, s, ..)| *w > width || (*w == width && *s < sql));
+                        if at < num_queries {
+                            best.insert(at, (width, sql, q, keep(result)));
+                            best.truncate(num_queries);
+                        }
                     }
                 }
             }
         }
     }
-    scored.sort_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
-    scored.truncate(num_queries);
-    scored.into_iter().map(|(_, _, q)| q).collect()
+    best.into_iter().map(|(_, _, q, kept)| (q, kept)).collect()
 }
 
 /// One wide-join candidate: `arms` aliased copies of `fan`, each joined to

@@ -206,9 +206,10 @@ fn trainer_loop(
     while !state.stop.load(Ordering::Acquire) {
         // Read-only replay is safe concurrently with the live writer: the
         // writer's unsynced tail parses as torn and is simply not yet
-        // visible. Records below the trainer watermark are skipped by
-        // `ingest`.
-        match ls_wal::replay(&opts.wal_dir) {
+        // visible. Replay starts at the trainer's watermark, so a poll
+        // reads only the segment the watermark falls in and what follows.
+        let watermark = trainer.consumed() + trainer.buffered() as u64;
+        match ls_wal::replay(&opts.wal_dir, watermark) {
             Ok((records, _)) => {
                 for (lsn, payload) in records {
                     match FeedbackRecord::decode(&payload) {

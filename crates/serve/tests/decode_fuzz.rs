@@ -209,11 +209,16 @@ fn training_checkpoint(dir: &Path) -> Format {
     let ck = TrainCheckpoint::capture(Stage::Online, &mut model, &opt, (&best, 0.0, 0), 1, 2, SEED);
     ck.save(&path).expect("save");
     // Magic, version, stage tag and five u64 fields precede the u64
-    // optimizer-state length, whose low half is a u32 length field.
+    // optimizer-state length, whose low half is a u32 length field. The
+    // optimizer's `LSAD` bytes, the live weights and the best weights
+    // follow; the checkpoint captured the first two from `opt` and `model`.
     let mut counts = vec![49];
+    let mut opt_state = Vec::new();
+    opt.write_state(&mut opt_state);
     adam_counts(&opt, 57, &mut counts);
-    let off = snapshot_counts(&ck.model, 57 + ck.opt_state.len(), &mut counts);
-    snapshot_counts(&ck.best, off, &mut counts);
+    let live = Snapshot::capture(&mut model);
+    let off = snapshot_counts(&live, 57 + opt_state.len(), &mut counts);
+    snapshot_counts(&best, off, &mut counts);
     Format {
         name: "LSTC",
         valid: read_verified(&path).expect("read back"),

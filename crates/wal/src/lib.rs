@@ -175,7 +175,8 @@ impl Default for WalOptions {
 pub struct RecoveryReport {
     /// Segments present after recovery (active included).
     pub segments: usize,
-    /// Intact records recovered across all segments.
+    /// Intact records recovered across all segments (for a [`replay`],
+    /// those it returned: the records at its `from` LSN and beyond).
     pub records: u64,
     /// Bytes cut from the torn tail of the last segment (0 on clean open).
     pub truncated_tail_bytes: u64,
@@ -259,20 +260,31 @@ fn list_segments(dir: &Path) -> Result<Vec<SegmentFile>, WalError> {
     Ok(out)
 }
 
-/// Parse the frames of one segment body (header already stripped). Returns
-/// the intact payloads and, if the suffix is malformed, the byte offset
-/// (relative to the body) where it starts plus the reason.
-fn parse_frames(body: &[u8]) -> (Vec<Vec<u8>>, Option<(usize, &'static str)>) {
-    let mut out = Vec::new();
+/// Parse the frames of one segment body (header already stripped), the
+/// first of which has LSN `lsn`. Appends the intact records at LSN `from`
+/// and beyond to `out`, and returns the LSN after the last intact frame
+/// and, if the suffix is malformed, the byte offset (relative to the body)
+/// where it starts plus the reason.
+fn parse_frames(
+    body: &[u8],
+    mut lsn: u64,
+    from: u64,
+    out: &mut Vec<(u64, Vec<u8>)>,
+) -> (u64, Option<(usize, &'static str)>) {
     let mut c = Cursor::new(body);
     while c.remaining() > 0 {
         let off = body.len() - c.remaining();
         match next_frame(&mut c) {
-            Ok(payload) => out.push(payload.to_vec()),
-            Err(reason) => return (out, Some((off, reason))),
+            Ok(payload) => {
+                if lsn >= from {
+                    out.push((lsn, payload.to_vec()));
+                }
+                lsn += 1;
+            }
+            Err(reason) => return (lsn, Some((off, reason))),
         }
     }
-    (out, None)
+    (lsn, None)
 }
 
 /// One `len | crc32 | payload` frame off the front of `c`, or why the bytes
@@ -302,19 +314,68 @@ struct Scan {
     next_seq: u64,
 }
 
-/// Walk all segments, validating headers, LSN continuity, and every frame.
-/// `repair` truncates the torn tail of the last segment (writer recovery);
-/// read-only replay tolerates the same tail without touching the files.
-fn scan(dir: &Path, injector: &Arc<dyn Injector>, repair: bool) -> Result<Scan, WalError> {
+/// The first LSN in `seg`'s header, or `None` if the header is cut short
+/// (a segment the writer is still creating).
+fn first_lsn_of(seg: &SegmentFile, injector: &Arc<dyn Injector>) -> Result<Option<u64>, WalError> {
+    let file = File::open(&seg.path)?;
+    let mut head = Vec::with_capacity(HEADER_LEN);
+    FaultyRead::new(file, injector.clone(), "wal.open")
+        .take(HEADER_LEN as u64)
+        .read_to_end(&mut head)?;
+    parse_header(&head, seg)
+}
+
+/// The first LSN the header at the front of `bytes` declares, once its
+/// magic and version check out; `None` if `bytes` are shorter than a
+/// header.
+fn parse_header(bytes: &[u8], seg: &SegmentFile) -> Result<Option<u64>, WalError> {
+    let mut c = Cursor::new(bytes);
+    let (Ok(magic), Ok(version), Ok(first_lsn)) = (c.take(4), c.u32(), c.u64()) else {
+        return Ok(None);
+    };
+    if magic != SEGMENT_MAGIC {
+        return Err(WalError::BadMagic {
+            segment: seg.path.clone(),
+        });
+    }
+    if version != VERSION {
+        return Err(WalError::BadVersion {
+            segment: seg.path.clone(),
+            found: version,
+        });
+    }
+    Ok(Some(first_lsn))
+}
+
+/// Walk the segments, validating headers, LSN continuity, and every frame,
+/// and collect the records at LSN `from` and beyond. A sealed segment whose
+/// successor's header starts at or below `from` holds no such record and
+/// is passed by unread. `repair` truncates the torn tail of the last
+/// segment (writer recovery, always from LSN 0); read-only replay tolerates
+/// the same tail without touching the files.
+fn scan(
+    dir: &Path,
+    injector: &Arc<dyn Injector>,
+    repair: bool,
+    from: u64,
+) -> Result<Scan, WalError> {
     let segments = list_segments(dir)?;
     let mut records = Vec::new();
     let mut truncated = 0u64;
     let mut next_lsn = 0u64;
     let mut active = None;
     let mut next_seq = 0u64;
-    let mut kept_segments = 0usize;
     let last = segments.len().saturating_sub(1);
-    for (i, seg) in segments.iter().enumerate() {
+    // The last segment is always read: it may be open, or torn.
+    let mut skipped = 0usize;
+    while from > 0 && skipped < last {
+        match first_lsn_of(&segments[skipped + 1], injector)? {
+            Some(start) if start <= from => skipped += 1,
+            _ => break,
+        }
+    }
+    let mut kept_segments = skipped;
+    for (i, seg) in segments.iter().enumerate().skip(skipped) {
         let is_last = i == last;
         let mut bytes = Vec::new();
         {
@@ -322,8 +383,7 @@ fn scan(dir: &Path, injector: &Arc<dyn Injector>, repair: bool) -> Result<Scan, 
             let mut reader = FaultyRead::new(file, injector.clone(), "wal.open");
             reader.read_to_end(&mut bytes)?;
         }
-        let mut c = Cursor::new(&bytes);
-        let (Ok(magic), Ok(version), Ok(first_lsn)) = (c.take(4), c.u32(), c.u64()) else {
+        let Some(first_lsn) = parse_header(&bytes, seg)? else {
             // Only a crash during segment creation can leave a short
             // header, and that can only be the last segment: drop it and
             // let the writer recreate it.
@@ -342,18 +402,7 @@ fn scan(dir: &Path, injector: &Arc<dyn Injector>, repair: bool) -> Result<Scan, 
             next_seq = seg.seq;
             break;
         };
-        if magic != SEGMENT_MAGIC {
-            return Err(WalError::BadMagic {
-                segment: seg.path.clone(),
-            });
-        }
-        if version != VERSION {
-            return Err(WalError::BadVersion {
-                segment: seg.path.clone(),
-                found: version,
-            });
-        }
-        if i == 0 {
+        if i == skipped {
             next_lsn = first_lsn;
         } else if first_lsn != next_lsn {
             return Err(WalError::Corrupt {
@@ -362,7 +411,8 @@ fn scan(dir: &Path, injector: &Arc<dyn Injector>, repair: bool) -> Result<Scan, 
                 reason: "segment first-LSN does not continue the chain",
             });
         }
-        let (payloads, torn) = parse_frames(&bytes[HEADER_LEN..]);
+        let (end_lsn, torn) = parse_frames(&bytes[HEADER_LEN..], next_lsn, from, &mut records);
+        next_lsn = end_lsn;
         if let Some((off, reason)) = torn {
             let abs = (HEADER_LEN + off) as u64;
             if !is_last {
@@ -379,10 +429,6 @@ fn scan(dir: &Path, injector: &Arc<dyn Injector>, repair: bool) -> Result<Scan, 
                 f.sync_all()?;
             }
             bytes.truncate(abs as usize);
-        }
-        for p in payloads {
-            records.push((next_lsn, p));
-            next_lsn += 1;
         }
         kept_segments += 1;
         if is_last && seg.open {
@@ -407,19 +453,19 @@ fn scan(dir: &Path, injector: &Arc<dyn Injector>, repair: bool) -> Result<Scan, 
 /// plus the recovery report from the scan.
 pub type ReplayOutcome = (Vec<(u64, Vec<u8>)>, RecoveryReport);
 
-/// Read every intact record of the log, in LSN order, without mutating the
-/// directory — safe to run concurrently with a live writer (the writer's
-/// in-flight tail parses as torn and is simply not yet visible).
-pub fn replay(dir: &Path) -> Result<ReplayOutcome, WalError> {
-    replay_with(dir, Arc::new(NoFaults))
-}
-
-/// [`replay`] with an explicit fault injector on the read path.
-pub fn replay_with(dir: &Path, injector: Arc<dyn Injector>) -> Result<ReplayOutcome, WalError> {
+/// Read the intact records of the log at LSN `from` and beyond, in LSN
+/// order, without mutating the directory — safe to run concurrently with a
+/// live writer (the writer's in-flight tail parses as torn and is simply
+/// not yet visible). `from = 0` reads the whole log. A consumer that polls
+/// passes its watermark: sealed segments wholly below it are not read, and
+/// no payload below it is copied, so a poll costs what is new plus the
+/// segment the watermark falls in.
+pub fn replay(dir: &Path, from: u64) -> Result<ReplayOutcome, WalError> {
     if !dir.exists() {
         return Ok((Vec::new(), RecoveryReport::default()));
     }
-    let scan = scan(dir, &injector, false)?;
+    let injector: Arc<dyn Injector> = Arc::new(NoFaults);
+    let scan = scan(dir, &injector, false, from)?;
     Ok((scan.records, scan.report))
 }
 
@@ -457,7 +503,7 @@ impl Wal {
         injector: Arc<dyn Injector>,
     ) -> Result<Wal, WalError> {
         fs::create_dir_all(dir)?;
-        let scan = scan(dir, &injector, true)?;
+        let scan = scan(dir, &injector, true, 0)?;
         if scan.report.truncated_tail_bytes > 0 {
             ls_obs::counter("wal.truncated_tail_bytes").add(scan.report.truncated_tail_bytes);
         }
@@ -668,7 +714,7 @@ mod tests {
             }
             assert_eq!(wal.durable_lsn(), 10);
         }
-        let (got, report) = replay(&dir).unwrap();
+        let (got, report) = replay(&dir, 0).unwrap();
         assert_eq!(report.records, 10);
         assert_eq!(report.truncated_tail_bytes, 0);
         for (i, (lsn, p)) in got.iter().enumerate() {
@@ -679,7 +725,7 @@ mod tests {
         let mut wal = Wal::open(&dir).unwrap();
         assert_eq!(wal.recovery().records, 10);
         assert_eq!(wal.append(b"after-reopen").unwrap(), 10);
-        let (got, _) = replay(&dir).unwrap();
+        let (got, _) = replay(&dir, 0).unwrap();
         assert_eq!(got.len(), 11);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -708,7 +754,7 @@ mod tests {
             })
             .count();
         assert!(sealed >= 1, "rotation leaves sealed segments behind");
-        let (got, report) = replay(&dir).unwrap();
+        let (got, report) = replay(&dir, 0).unwrap();
         assert_eq!(got.len(), 30);
         assert!(report.segments > 1);
         for (i, (lsn, p)) in got.iter().enumerate() {
@@ -773,7 +819,7 @@ mod tests {
             Err(other) => panic!("expected Corrupt, got {other:?}"),
             Ok(_) => panic!("expected Corrupt, got a clean open"),
         }
-        match replay(&dir) {
+        match replay(&dir, 0) {
             Err(WalError::Corrupt { .. }) => {}
             other => panic!("expected Corrupt, got {other:?}"),
         }
@@ -856,7 +902,7 @@ mod tests {
         let mut wal = Wal::open(&dir).unwrap();
         assert_eq!(wal.recovery().records, 1);
         wal.append(b"b2").unwrap();
-        let (got, _) = replay(&dir).unwrap();
+        let (got, _) = replay(&dir, 0).unwrap();
         assert_eq!(got.len(), 2);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -864,9 +910,48 @@ mod tests {
     #[test]
     fn replay_of_missing_dir_is_empty() {
         let dir = temp_dir("missing");
-        let (recs, report) = replay(&dir).unwrap();
+        let (recs, report) = replay(&dir, 0).unwrap();
         assert!(recs.is_empty());
         assert_eq!(report, RecoveryReport::default());
+    }
+
+    /// A replay from a watermark returns exactly the records at and past
+    /// it, and never reads the sealed segments below it: bit rot planted in
+    /// the first segment fails a full replay but not one that starts past
+    /// that segment.
+    #[test]
+    fn replay_from_a_watermark_skips_sealed_segments_below_it() {
+        let dir = temp_dir("watermark");
+        let opts = WalOptions {
+            segment_bytes: 64,
+            fsync_every: 1,
+        };
+        let mut wal = Wal::open_with(&dir, opts, Arc::new(NoFaults)).unwrap();
+        for i in 0..30u32 {
+            wal.append(format!("payload-{i:04}").as_bytes()).unwrap();
+        }
+        drop(wal);
+        let (all, full) = replay(&dir, 0).unwrap();
+        assert_eq!(all.len(), 30);
+        for from in [1u64, 5, 17, 29, 30, 31] {
+            let (got, report) = replay(&dir, from).unwrap();
+            assert_eq!(got, all[(from as usize).min(30)..], "from {from}");
+            assert_eq!(report.next_lsn, 30, "from {from}");
+            assert_eq!(report.segments, full.segments, "from {from}");
+        }
+
+        let mut segments = list_segments(&dir).unwrap();
+        let second = segments.remove(1);
+        let start = u64::from_le_bytes(fs::read(&second.path).unwrap()[8..16].try_into().unwrap());
+        let first = &segments[0].path;
+        let mut bytes = fs::read(first).unwrap();
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0x10;
+        fs::write(first, bytes).unwrap();
+        assert!(matches!(replay(&dir, 0), Err(WalError::Corrupt { .. })));
+        let (got, _) = replay(&dir, start).unwrap();
+        assert_eq!(got, all[start as usize..]);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

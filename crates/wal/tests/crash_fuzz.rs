@@ -93,7 +93,7 @@ fn crash_trial(seed: u64, fsync_every: usize, segment_bytes: u64) -> u64 {
         .unwrap_or_else(|e| panic!("seed {seed}: recovery failed: {e}"));
     let report = *wal.recovery();
     drop(wal);
-    let (records, replay_report) = replay(&dir).unwrap();
+    let (records, replay_report) = replay(&dir, 0).unwrap();
     assert_eq!(
         report.records, replay_report.records,
         "seed {seed}: writer recovery and read-only replay disagree"
@@ -191,7 +191,7 @@ fn double_crash_then_recover() {
             }
         }
     }
-    let (records, _) = replay(&dir).unwrap();
+    let (records, _) = replay(&dir, 0).unwrap();
     assert!(records.len() as u64 >= acked, "lost acked records");
     assert!(records.len() <= appended.len());
     for (i, (lsn, p)) in records.iter().enumerate() {

@@ -73,7 +73,7 @@ fn recovery_scan_time() {
         let segments = wal.recovery().segments;
         drop(wal);
         let t0 = Instant::now();
-        let (recs, _) = replay(&dir).unwrap();
+        let (recs, _) = replay(&dir, 0).unwrap();
         let replay_t = t0.elapsed();
         assert_eq!(recs.len(), records);
         println!("{records:>10}  {segments:>8}  {reopen:>8.2?}  {replay_t:>8.2?}");
