@@ -53,8 +53,10 @@ fn bench_encoder(c: &mut Criterion) {
         let mut enc = TransformerEncoder::new(cfg);
         let tokens: Vec<u32> = (0..48).map(|i| (i * 37) % 2000).collect();
         let segs: Vec<u8> = (0..48).map(|i| u8::from(i >= 24)).collect();
+        // The full-sequence pass (every row through every block), the
+        // reference the pruned passes below are tested against.
         g.bench_function(BenchmarkId::new("forward", label), |b| {
-            b.iter(|| black_box(enc.forward(&tokens, &segs)))
+            b.iter(|| black_box(enc.forward(&tokens, &segs, tokens.len())))
         });
         // The serving pass: read-only, [CLS] row only through the last block.
         let mut scratch = InferScratch::new();
@@ -68,15 +70,22 @@ fn bench_encoder(c: &mut Criterion) {
         g.bench_function(BenchmarkId::new("forward_infer_64", label), |b| {
             b.iter(|| black_box(enc.forward_infer(&tokens64, &segs64, &mut scratch)))
         });
-        g.bench_function(BenchmarkId::new("forward_backward", label), |b| {
-            b.iter(|| {
-                let h = enc.forward(&tokens, &segs);
-                let mut d = Tensor::zeros(h.rows, h.cols);
-                d.set(0, 0, 1.0);
-                enc.backward(&d);
-                black_box(());
-            })
-        });
+        // The training step the heads take: forward and backward through
+        // the [CLS] row alone in the last block, at 48 and 64 tokens.
+        for (name, tokens, segs) in [
+            ("forward_backward", &tokens, &segs),
+            ("forward_backward_64", &tokens64, &segs64),
+        ] {
+            g.bench_function(BenchmarkId::new(name, label), |b| {
+                b.iter(|| {
+                    let cls = enc.forward(tokens, segs, 1);
+                    let mut d = Tensor::zeros(cls.rows, cls.cols);
+                    d.set(0, 0, 1.0);
+                    enc.backward(&d);
+                    black_box(());
+                })
+            });
+        }
     }
     g.finish();
 }

@@ -106,17 +106,37 @@ pub struct EntryData {
 
 /// Serialize an entry body (unsealed; the store seals + writes atomically).
 pub fn encode(e: &EntryData) -> Vec<u8> {
-    let mut w = Vec::with_capacity(64 + 16 * e.circuit.len());
+    encode_parts(
+        e.n_players,
+        &e.clauses,
+        e.root,
+        &e.circuit,
+        &e.model_count,
+        e.scores.as_deref(),
+    )
+}
+
+/// [`encode`] on borrowed parts, so the store writes a resident entry
+/// without copying its clauses or node arena.
+pub(crate) fn encode_parts(
+    n_players: u32,
+    clauses: &[Vec<u32>],
+    root: NodeId,
+    circuit: &Circuit,
+    model_count: &BigNat,
+    scores: Option<&[f64]>,
+) -> Vec<u8> {
+    let mut w = Vec::with_capacity(64 + 16 * circuit.len());
     w.put_bytes(MAGIC);
     w.put_u32(VERSION);
-    w.put_u32(e.n_players);
-    w.put_u32(e.clauses.len() as u32);
-    for clause in &e.clauses {
+    w.put_u32(n_players);
+    w.put_u32(clauses.len() as u32);
+    for clause in clauses {
         w.put_u32(clause.len() as u32);
         clause.iter().for_each(|&v| w.put_u32(v));
     }
-    w.put_u32(e.root.0);
-    let nodes = e.circuit.nodes();
+    w.put_u32(root.0);
+    let nodes = circuit.nodes();
     w.put_u32(nodes.len() as u32);
     for node in nodes {
         match node {
@@ -142,13 +162,13 @@ pub fn encode(e: &EntryData) -> Vec<u8> {
             }
         }
     }
-    let limbs = e.model_count.limbs();
+    let limbs = model_count.limbs();
     w.put_u32(limbs.len() as u32);
     limbs.iter().for_each(|&l| w.put_u64(l));
-    match &e.scores {
+    match scores {
         None => w.put_u8(0),
         Some(s) => {
-            debug_assert_eq!(s.len(), e.n_players as usize);
+            debug_assert_eq!(s.len(), n_players as usize);
             w.put_u8(1);
             s.iter().for_each(|&v| w.put_f64(v));
         }

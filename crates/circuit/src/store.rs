@@ -68,19 +68,6 @@ impl CircuitEntry {
             scores: scores_lock,
         }
     }
-
-    fn to_data(&self) -> EntryData {
-        EntryData {
-            n_players: self.n_players,
-            clauses: self.clauses.clone(),
-            root: self.root,
-            // Rebuilding from the arena is cheap and keeps EntryData owned.
-            circuit: Circuit::from_nodes(self.circuit.nodes().to_vec())
-                .expect("resident circuit is well-formed"),
-            model_count: self.model_count.clone(),
-            scores: self.scores.get().cloned(),
-        }
-    }
 }
 
 /// Monotonic store statistics (process-local; mirrored to `circuit.*` obs
@@ -336,7 +323,14 @@ impl CircuitStore {
     }
 
     fn persist(&self, entry: &CircuitEntry) -> io::Result<()> {
-        let body = format::encode(&entry.to_data());
+        let body = format::encode_parts(
+            entry.n_players,
+            &entry.clauses,
+            entry.root,
+            &entry.circuit,
+            &entry.model_count,
+            entry.scores(),
+        );
         let sealed = persist::seal(body);
         ls_obs::counter("circuit.store.bytes_written").add(sealed.len() as u64);
         persist::write_atomic(&self.entry_path(entry.key), &sealed)

@@ -23,7 +23,6 @@ pub struct LearnShapleyModel {
     pub sim_heads: Vec<Linear>,
     /// Shapley-value regression head (`d → 1`).
     pub value_head: Linear,
-    last_shape: Option<(usize, usize)>,
 }
 
 impl LearnShapleyModel {
@@ -39,7 +38,6 @@ impl LearnShapleyModel {
             encoder,
             sim_heads,
             value_head,
-            last_shape: None,
         }
     }
 
@@ -53,25 +51,11 @@ impl LearnShapleyModel {
             .chain(std::iter::repeat_n(head, 4).flatten())
     }
 
-    fn encode_cls(&mut self, tokens: &[u32], segments: &[u8]) -> Tensor {
-        let hidden = self.encoder.forward(tokens, segments);
-        self.last_shape = Some((hidden.rows, hidden.cols));
-        let mut cls = Tensor::zeros(1, hidden.cols);
-        cls.row_mut(0).copy_from_slice(hidden.row(0));
-        cls
-    }
-
-    fn backprop_cls(&mut self, dcls: Tensor) {
-        let (rows, cols) = self.last_shape.expect("forward before backward");
-        let mut dhidden = Tensor::zeros(rows, cols);
-        dhidden.row_mut(0).copy_from_slice(dcls.row(0));
-        self.encoder.backward(&dhidden);
-    }
-
     /// Pre-training forward: predicted `[sim_r, sim_w, sim_s]` for a packed
-    /// query pair.
+    /// query pair. The encoder computes and caches the `[CLS]` row alone
+    /// through its last block (`rows = 1`).
     pub fn forward_sims(&mut self, tokens: &[u32], segments: &[u8]) -> [f32; 3] {
-        let cls = self.encode_cls(tokens, segments);
+        let cls = self.encoder.forward(tokens, segments, 1);
         let mut out = [0.0f32; 3];
         for (i, head) in self.sim_heads.iter_mut().enumerate() {
             out[i] = head.forward(&cls).data[0];
@@ -79,21 +63,21 @@ impl LearnShapleyModel {
         out
     }
 
-    /// Pre-training backward from per-head loss gradients.
+    /// Pre-training backward from per-head loss gradients, through the
+    /// `[CLS]` row the forward produced.
     pub fn backward_sims(&mut self, d: [f32; 3]) {
-        let cols = self.last_shape.expect("forward before backward").1;
-        let mut dcls = Tensor::zeros(1, cols);
+        let mut dcls = Tensor::zeros(1, self.encoder.config.d_model);
         for (i, head) in self.sim_heads.iter_mut().enumerate() {
             let dhead = head.backward(&Tensor::from_vec(1, 1, vec![d[i]]));
             dcls.add_assign(&dhead);
         }
-        self.backprop_cls(dcls);
+        self.encoder.backward(&dcls);
     }
 
     /// Fine-tuning forward: predicted (scaled) Shapley value for a packed
-    /// (query, tuple+fact) pair.
+    /// (query, tuple+fact) pair, from the `[CLS]` row alone (`rows = 1`).
     pub fn forward_value(&mut self, tokens: &[u32], segments: &[u8]) -> f32 {
-        let cls = self.encode_cls(tokens, segments);
+        let cls = self.encoder.forward(tokens, segments, 1);
         self.value_head.forward(&cls).data[0]
     }
 
@@ -130,7 +114,7 @@ impl LearnShapleyModel {
     /// Fine-tuning backward from the value-loss gradient.
     pub fn backward_value(&mut self, d: f32) {
         let dcls = self.value_head.backward(&Tensor::from_vec(1, 1, vec![d]));
-        self.backprop_cls(dcls);
+        self.encoder.backward(&dcls);
     }
 }
 

@@ -8,46 +8,15 @@
 //! test pins that `ls_nn::vmath` changed no bit of the model's output, and
 //! that the output no longer depends on which libm the host loads. They
 //! were also captured while inference still carried every row through the
-//! last block: the hidden state now comes from the training `forward` (the
-//! only pass that still produces it), `infer_value` from the `[CLS]`-only
-//! inference path, whose row must equal the hidden state's row 0.
+//! last block: the hidden state now comes from the training `forward` with
+//! `rows = n` (the only pass that still produces every row), `infer_value`
+//! from the `[CLS]`-only inference path, whose row must equal the hidden
+//! state's row 0.
 
-use ls_core::LearnShapleyModel;
-use ls_nn::{EncoderConfig, InferScratch, Visit};
+mod common;
 
-const VOCAB: usize = 300;
-const LEN: usize = 64;
-
-/// splitmix64's finalizer.
-fn mix(mut h: u64) -> u64 {
-    h = h.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    h ^ (h >> 31)
-}
-
-/// LS-base with weights uniform in [−0.5, 0.5), exact in `f32`.
-fn hashed_model() -> LearnShapleyModel {
-    let mut model = LearnShapleyModel::new(EncoderConfig::base(VOCAB, LEN));
-    let mut n = 0u64;
-    model.visit(&mut |p| {
-        for v in &mut p.v.data {
-            n += 1;
-            *v = (mix(n) >> 40) as f32 / (1u32 << 24) as f32 - 0.5;
-        }
-    });
-    model
-}
-
-/// Sequence `s`: hashed ids over the non-special vocabulary, segment 1
-/// from position `split` on.
-fn sequence(s: u64, split: usize) -> (Vec<u32>, Vec<u8>) {
-    let tokens = (0..LEN as u64)
-        .map(|i| 4 + (mix(s << 32 | i) % (VOCAB as u64 - 4)) as u32)
-        .collect();
-    let segments = (0..LEN).map(|i| u8::from(i >= split)).collect();
-    (tokens, segments)
-}
+use common::{hashed_model, sequence};
+use ls_nn::InferScratch;
 
 /// FNV-1a over the bits of every hidden-state element.
 fn fnv(data: &[f32]) -> u64 {
@@ -77,7 +46,7 @@ fn ls_base_inference_bits_are_pinned() {
             let cls = model
                 .encoder
                 .forward_infer(&tokens, &segments, &mut scratch);
-            let hidden = trainer.forward(&tokens, &segments);
+            let hidden = trainer.forward(&tokens, &segments, tokens.len());
             assert_eq!(
                 fnv(&cls.data),
                 fnv(hidden.row(0)),

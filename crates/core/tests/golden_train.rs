@@ -7,6 +7,13 @@
 //! after an online trainer, plus the fine-tuning and gold feedback records
 //! and the reports' metric bits, best epochs and sample counts. It runs the
 //! whole chain at one and at two threads; both must give the pinned bits.
+//!
+//! That chain trains a one-block model, so it never backpropagates from the
+//! last block into an inner one. A second case does, on the hashed LS-base
+//! model (two blocks, 64 positions) that `golden_infer` pins: digests of
+//! every parameter gradient after one value step and one similarity step
+//! on each of four 64-token sequences, and of the weights after three Adam
+//! steps over all four.
 
 use ls_core::{
     build_finetune_samples_with_negatives, build_pretrain_pairs, feedback_from_gold, finetune,
@@ -18,8 +25,10 @@ use ls_dbshap::{
     DriftConfig, ImdbConfig, QueryGenConfig, Split,
 };
 use ls_fault::Put;
-use ls_nn::{EncoderConfig, Snapshot};
+use ls_nn::{Adam, AdamConfig, EncoderConfig, Snapshot, Visit};
 use ls_similarity::RankSimOptions;
+
+mod common;
 
 fn tiny_dataset() -> Dataset {
     let db = generate_imdb(&ImdbConfig {
@@ -206,5 +215,97 @@ fn training_chain_reproduces_pinned_bits() {
     for threads in [1, 2] {
         let got = ls_par::with_threads(threads, || run_chain(&ds));
         assert_eq!(got, GOLDEN, "training bits moved at {threads} thread(s)");
+    }
+}
+
+/// FNV-1a digest of every parameter gradient, in `Visit` order.
+fn grads(model: &mut LearnShapleyModel) -> u64 {
+    let mut bytes = Vec::new();
+    model.visit(&mut |p| bytes.put_f32s(&p.g.data));
+    fnv(&bytes)
+}
+
+/// `(sequence seed, segment split)` of the four LS-base sequences.
+const LS_BASE_SEQUENCES: [(u64, usize); 4] = [(1, 20), (2, 33), (3, 48), (4, 61)];
+
+/// What the LS-base case pins.
+#[derive(Debug, PartialEq)]
+struct LsBaseGolden {
+    /// Gradient digest after `forward_value`/`backward_value`, per sequence.
+    value: [u64; 4],
+    /// Gradient digest after `forward_sims`/`backward_sims`, per sequence.
+    sims: [u64; 4],
+    /// Weights digest after three Adam steps over all four sequences.
+    adam: u64,
+}
+
+/// Squared-error gradients toward fixed targets, accumulated into the
+/// model: the value head's in `value_step`, the similarity heads' in
+/// `sims_step`.
+fn value_step(model: &mut LearnShapleyModel, tokens: &[u32], segments: &[u8]) {
+    let v = model.forward_value(tokens, segments);
+    model.backward_value(2.0 * (v - 0.25));
+}
+
+fn sims_step(model: &mut LearnShapleyModel, tokens: &[u32], segments: &[u8]) {
+    let p = model.forward_sims(tokens, segments);
+    model.backward_sims([2.0 * (p[0] - 0.5), 2.0 * (p[1] - 0.25), 2.0 * (p[2] - 0.75)]);
+}
+
+fn run_ls_base() -> LsBaseGolden {
+    let mut model = common::hashed_model();
+    let seqs: Vec<_> = LS_BASE_SEQUENCES
+        .iter()
+        .map(|&(s, split)| common::sequence(s, split))
+        .collect();
+    let (mut value, mut sims) = ([0; 4], [0; 4]);
+    for (i, (tokens, segments)) in seqs.iter().enumerate() {
+        model.zero_grads();
+        value_step(&mut model, tokens, segments);
+        value[i] = grads(&mut model);
+        model.zero_grads();
+        sims_step(&mut model, tokens, segments);
+        sims[i] = grads(&mut model);
+    }
+    model.zero_grads();
+    let mut opt = Adam::new(&mut model, AdamConfig::default());
+    for _ in 0..3 {
+        for (tokens, segments) in &seqs {
+            value_step(&mut model, tokens, segments);
+            sims_step(&mut model, tokens, segments);
+        }
+        opt.step(&mut model, 1.0 / seqs.len() as f32);
+    }
+    LsBaseGolden {
+        value,
+        sims,
+        adam: weights(&mut model),
+    }
+}
+
+const LS_BASE_GOLDEN: LsBaseGolden = LsBaseGolden {
+    value: [
+        0x3cd8_2fad_fd81_13d2,
+        0x2aa1_a679_e42c_a81a,
+        0x2139_d2b7_2b1f_da48,
+        0xcb14_9447_e4fd_441a,
+    ],
+    sims: [
+        0xf008_3913_a718_4022,
+        0xa599_5ede_6dac_7235,
+        0xce20_d545_dbe8_c1c6,
+        0x08dd_47e7_d9d9_9242,
+    ],
+    adam: 0x430d_f73b_c491_9f07,
+};
+
+#[test]
+fn ls_base_training_step_reproduces_pinned_bits() {
+    for threads in [1, 2] {
+        let got = ls_par::with_threads(threads, run_ls_base);
+        assert_eq!(
+            got, LS_BASE_GOLDEN,
+            "LS-base training bits moved at {threads} thread(s); got {got:#x?}"
+        );
     }
 }

@@ -1,6 +1,6 @@
 //! Multi-head self-attention with hand-written backward pass.
 
-use crate::infer::leading_rows;
+use crate::infer::{add_leading_rows, leading_rows};
 use crate::kernels::{gemm, Op};
 use crate::linear::Linear;
 use crate::param::{Param, Visit};
@@ -22,10 +22,12 @@ pub struct MultiHeadAttention {
 
 #[derive(Debug, Clone)]
 struct AttnCache {
+    /// The leading `rows` rows of Q.
     q: Tensor,
+    /// K and V over all `n` rows.
     k: Tensor,
     v: Tensor,
-    /// Softmax attention matrix per head (`n × n` each).
+    /// Softmax attention rows per head (`rows × n` each).
     attn: Vec<Tensor>,
 }
 
@@ -136,9 +138,19 @@ impl MultiHeadAttention {
         (concat, attn)
     }
 
-    /// Forward pass over a sequence `x` (`n × d_model`).
-    pub fn forward(&mut self, x: &Tensor) -> Tensor {
-        let q = self.wq.forward(x);
+    /// Training forward pass over `x` (`n × d_model`) that produces the
+    /// first `rows` output rows (`rows × d_model`): `rows = n` for a block
+    /// whose output feeds another block, `rows = 1` for the last block,
+    /// whose `[CLS]` row is all the heads read. K and V project all `n`
+    /// rows, since every query attends over the whole sequence; Q, the
+    /// `rows × n` scores, softmax, value mix and `W_O` run on the leading
+    /// `rows` rows only, and only those are cached for backward. Each row
+    /// is bit-identical to the same row of the `rows = n` pass.
+    ///
+    /// # Panics
+    /// Panics unless `1 <= rows <= n`.
+    pub fn forward(&mut self, x: &Tensor, rows: usize) -> Tensor {
+        let q = self.wq.forward(&leading_rows(x, rows));
         let k = self.wk.forward(x);
         let v = self.wv.forward(x);
         let (concat, attn) = self.attend(&q, &k, &v, true);
@@ -147,17 +159,13 @@ impl MultiHeadAttention {
         y
     }
 
-    /// Inference forward pass over `x` (`n × d_model`) that produces only
-    /// the first `rows` output rows (`rows × d_model`): `rows = n` gives the
-    /// whole sequence, `rows = 1` the `[CLS]` row alone. K and V project
-    /// all `n` rows, since every query attends over the whole sequence; Q,
-    /// the `rows × n` scores, softmax, value mix and `W_O` run on the
-    /// leading `rows` rows only. Read-only (no q/k/v/attention cache), and
-    /// each row is bit-identical to the same row of
-    /// [`MultiHeadAttention::forward`].
+    /// Inference forward pass: the arithmetic of
+    /// [`MultiHeadAttention::forward`] for the same `rows`, but read-only
+    /// (no q/k/v/attention cache), so the weights can be shared across
+    /// threads. Bit-identical to the training forward.
     ///
     /// # Panics
-    /// Panics if `rows > n`.
+    /// Panics unless `1 <= rows <= n`.
     pub fn forward_infer(&self, x: &Tensor, rows: usize) -> Tensor {
         let q = self.wq.forward_infer(&leading_rows(x, rows));
         let k = self.wk.forward_infer(x);
@@ -166,7 +174,14 @@ impl MultiHeadAttention {
         self.wo.forward_infer(&concat)
     }
 
-    /// Backward pass; accumulates projection gradients and returns `dx`.
+    /// Backward pass from the gradient `dy` (`rows × d_model`) on the rows
+    /// the last [`MultiHeadAttention::forward`] produced; accumulates the
+    /// projection gradients and returns `dx` for all `n` input rows. dQ
+    /// covers the leading `rows` rows; dK and dV cover all `n`, from the
+    /// kept `rows × n` attention rows. A leading row sums
+    /// `(dx_Q + dx_K) + dx_V` and any other row `dx_K + dx_V`: the bits a
+    /// `rows = n` pass gives each row when its gradient is zero past
+    /// `rows` (DESIGN.md §4l).
     ///
     /// # Panics
     /// Panics if called before [`MultiHeadAttention::forward`].
@@ -175,8 +190,8 @@ impl MultiHeadAttention {
         let scale = 1.0 / (dh as f32).sqrt();
         let cache = self.cache.take().expect("forward before backward");
         let dconcat = self.wo.backward(dy);
-        let n = dy.rows;
-        let mut dq = Tensor::zeros(n, self.d_model);
+        let (rows, n) = (cache.q.rows, cache.k.rows);
+        let mut dq = Tensor::zeros(rows, self.d_model);
         let mut dk = Tensor::zeros(n, self.d_model);
         let mut dv = Tensor::zeros(n, self.d_model);
         for h in 0..self.heads {
@@ -185,7 +200,7 @@ impl MultiHeadAttention {
             let qh = slice_head(&cache.q, h, dh);
             let kh = slice_head(&cache.k, h, dh);
             let a = &cache.attn[h];
-            // Ch = A·Vh.
+            // Ch = A·Vh, with A the kept `rows × n` attention rows.
             let da = dch.matmul_t(&vh);
             let dvh = a.t_matmul(&dch);
             let mut ds = softmax_rows_backward(a, &da);
@@ -196,8 +211,9 @@ impl MultiHeadAttention {
             merge_head(&mut dk, &dkh, h, dh);
             merge_head(&mut dv, &dvh, h, dh);
         }
-        let mut dx = self.wq.backward(&dq);
-        dx.add_assign(&self.wk.backward(&dk));
+        let dx_q = self.wq.backward(&dq);
+        let mut dx = self.wk.backward(&dk);
+        add_leading_rows(&mut dx, &dx_q);
         dx.add_assign(&self.wv.backward(&dv));
         dx
     }
@@ -266,10 +282,10 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// Strided heads against the sliced oracle, by `to_bits`: the
-        /// training forward (every row, and the softmax matrices it keeps
-        /// for backward) and the inference forward for the `[CLS]` row
-        /// alone and for every row.
+        /// Strided heads against the sliced oracle, by `to_bits`, for the
+        /// `[CLS]` row alone and for every row: the training forward (its
+        /// output and the softmax rows it keeps for backward) and the
+        /// inference forward.
         #[test]
         fn strided_heads_match_sliced_oracle(
             heads in prop_oneof![Just(1usize), Just(2), Just(4), Just(8)],
@@ -280,16 +296,15 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut attn = MultiHeadAttention::new(heads * dh, heads, &mut rng);
             let x = Tensor::randn(n, heads * dh, 1.0, &mut rng);
-            let (want, want_attn) = forward_sliced(&attn, &x, n);
-            let got = attn.forward(&x);
-            prop_assert_eq!(bits(&got), bits(&want), "training forward");
-            let kept = &attn.cache.as_ref().expect("forward keeps its cache").attn;
-            prop_assert_eq!(kept.len(), heads);
-            for (a, b) in kept.iter().zip(&want_attn) {
-                prop_assert_eq!(bits(a), bits(b), "softmax matrix");
-            }
             for rows in [1, n] {
-                let (want, _) = forward_sliced(&attn, &x, rows);
+                let (want, want_attn) = forward_sliced(&attn, &x, rows);
+                let got = attn.forward(&x, rows);
+                prop_assert_eq!(bits(&got), bits(&want), "training forward, {} rows", rows);
+                let kept = &attn.cache.as_ref().expect("forward keeps its cache").attn;
+                prop_assert_eq!(kept.len(), heads);
+                for (a, b) in kept.iter().zip(&want_attn) {
+                    prop_assert_eq!(bits(a), bits(b), "softmax rows");
+                }
                 prop_assert_eq!(bits(&attn.forward_infer(&x, rows)), bits(&want), "{} rows", rows);
             }
         }
@@ -325,7 +340,7 @@ mod tests {
     fn forward_shape() {
         let mut attn = MultiHeadAttention::new(8, 2, &mut rng());
         let x = Tensor::randn(5, 8, 1.0, &mut rng());
-        let y = attn.forward(&x);
+        let y = attn.forward(&x, 5);
         assert_eq!((y.rows, y.cols), (5, 8));
     }
 
@@ -339,7 +354,7 @@ mod tests {
     fn attention_rows_are_distributions() {
         let mut attn = MultiHeadAttention::new(4, 2, &mut rng());
         let x = Tensor::randn(3, 4, 1.0, &mut rng());
-        attn.forward(&x);
+        attn.forward(&x, 3);
         let cache = attn.cache.as_ref().unwrap();
         for a in &cache.attn {
             for r in 0..a.rows {
@@ -354,10 +369,10 @@ mod tests {
         let mut attn = MultiHeadAttention::new(4, 2, &mut rng());
         let x = Tensor::randn(3, 4, 0.7, &mut rng());
         let u = Tensor::randn(3, 4, 1.0, &mut rng());
-        attn.forward(&x);
+        attn.forward(&x, 3);
         let dx = attn.backward(&u);
         let loss = |attn: &mut MultiHeadAttention, x: &Tensor| -> f32 {
-            let y = attn.forward(x);
+            let y = attn.forward(x, 3);
             y.data.iter().zip(&u.data).map(|(a, b)| a * b).sum()
         };
         let eps = 1e-2f32;
@@ -381,11 +396,11 @@ mod tests {
         let mut attn = MultiHeadAttention::new(4, 1, &mut rng());
         let x = Tensor::randn(2, 4, 0.7, &mut rng());
         let u = Tensor::randn(2, 4, 1.0, &mut rng());
-        attn.forward(&x);
+        attn.forward(&x, 2);
         attn.backward(&u);
         let analytic_wq = attn.wq.w.g.clone();
         let loss = |attn: &mut MultiHeadAttention| -> f32 {
-            let y = attn.forward(&x);
+            let y = attn.forward(&x, 2);
             y.data.iter().zip(&u.data).map(|(a, b)| a * b).sum()
         };
         let eps = 1e-2f32;
@@ -420,7 +435,7 @@ mod tests {
     fn single_token_sequence() {
         let mut attn = MultiHeadAttention::new(4, 2, &mut rng());
         let x = Tensor::randn(1, 4, 1.0, &mut rng());
-        let y = attn.forward(&x);
+        let y = attn.forward(&x, 1);
         assert_eq!((y.rows, y.cols), (1, 4));
         // Attention over one token is the identity distribution.
         let cache = attn.cache.as_ref().unwrap();

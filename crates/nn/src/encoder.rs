@@ -3,7 +3,7 @@
 //! builds LearnShapley on, at laptop scale.
 
 use crate::attention::MultiHeadAttention;
-use crate::infer::leading_rows;
+use crate::infer::{add_leading_rows, leading_rows};
 use crate::linear::Linear;
 use crate::norm::LayerNorm;
 use crate::param::{Param, Visit};
@@ -87,28 +87,33 @@ impl EncoderBlock {
         }
     }
 
-    /// Forward pass.
-    pub fn forward(&mut self, x: &Tensor) -> Tensor {
-        let a = self.attn.forward(x);
-        let mut res1 = x.clone();
+    /// Training forward pass over `x` (`n × d_model`) that produces the
+    /// first `rows` output rows: `rows = n` for a block whose output feeds
+    /// another block, `rows = 1` for the last block, whose `[CLS]` row is
+    /// all the heads read. Attention needs every row of `x` for its K and
+    /// V; the residuals, layer norms and feed-forward work per row and run
+    /// (and cache) the leading `rows` only. Each row is bit-identical to the
+    /// same row of the `rows = n` pass.
+    ///
+    /// # Panics
+    /// Panics unless `1 <= rows <= n`.
+    pub fn forward(&mut self, x: &Tensor, rows: usize) -> Tensor {
+        let a = self.attn.forward(x, rows);
+        let mut res1 = leading_rows(x, rows).into_owned();
         res1.add_assign(&a);
         let x1 = self.norm1.forward(&res1);
         let f = self.ffn.forward(&x1);
-        let mut res2 = x1.clone();
+        let mut res2 = x1;
         res2.add_assign(&f);
         self.norm2.forward(&res2)
     }
 
-    /// Inference forward pass over `x` (`n × d_model`) that produces only
-    /// the first `rows` output rows: `rows = n` for a block whose output
-    /// feeds another block, `rows = 1` for the last block, whose `[CLS]` row
-    /// is all the heads read. Attention needs every row of `x` for its K
-    /// and V; the residuals, layer norms and feed-forward work per row and
-    /// run on the leading `rows` only. Read-only, and each row is
-    /// bit-identical to the same row of [`EncoderBlock::forward`].
+    /// Inference forward pass: the arithmetic of [`EncoderBlock::forward`]
+    /// for the same `rows`, but read-only. Bit-identical to the training
+    /// forward.
     ///
     /// # Panics
-    /// Panics if `rows > n`.
+    /// Panics unless `1 <= rows <= n`.
     pub fn forward_infer(&self, x: &Tensor, rows: usize) -> Tensor {
         let a = self.attn.forward_infer(x, rows);
         let mut res1 = leading_rows(x, rows).into_owned();
@@ -120,16 +125,18 @@ impl EncoderBlock {
         self.norm2.forward_infer(&res2)
     }
 
-    /// Backward pass.
+    /// Backward pass from the gradient `dy` (`rows × d_model`) on the rows
+    /// the last [`EncoderBlock::forward`] produced; returns `dx` for all `n`
+    /// input rows. Everything but attention's K and V works on the leading
+    /// `rows` rows, so the first residual's gradient lands on those alone.
     pub fn backward(&mut self, dy: &Tensor) -> Tensor {
         let dres2 = self.norm2.backward(dy);
         let dffn_in = self.ffn.backward(&dres2);
         let mut dx1 = dres2;
         dx1.add_assign(&dffn_in);
         let dres1 = self.norm1.backward(&dx1);
-        let dattn_in = self.attn.backward(&dres1);
-        let mut dx = dres1;
-        dx.add_assign(&dattn_in);
+        let mut dx = self.attn.backward(&dres1);
+        add_leading_rows(&mut dx, &dres1);
         dx
     }
 }
@@ -240,7 +247,8 @@ pub struct TransformerEncoder {
     pos_emb: Param,
     seg_emb: Param,
     blocks: Vec<EncoderBlock>,
-    cache_tokens: Option<(Vec<u32>, Vec<u8>)>,
+    /// The last training forward's tokens, segments and returned rows.
+    cache_tokens: Option<(Vec<u32>, Vec<u8>, usize)>,
 }
 
 impl TransformerEncoder {
@@ -264,13 +272,13 @@ impl TransformerEncoder {
         }
     }
 
-    /// Encode a token sequence; returns the full hidden state (`n × d`).
+    /// Check a sequence and write its input embeddings (token + position +
+    /// segment) into `x`, reshaped to `n × d`; every cell is overwritten.
     ///
     /// # Panics
-    /// Panics on empty input, out-of-vocabulary ids, or sequences longer
-    /// than `max_len` (callers truncate).
-    pub fn forward(&mut self, tokens: &[u32], segments: &[u8]) -> Tensor {
-        let t0 = ls_obs::enabled().then(std::time::Instant::now);
+    /// Panics on empty input, mismatched lengths, out-of-vocabulary ids,
+    /// segment ids other than 0 and 1, or sequences longer than `max_len`.
+    fn embed(&self, tokens: &[u32], segments: &[u8], x: &mut Tensor) {
         assert!(!tokens.is_empty(), "empty token sequence");
         assert_eq!(
             tokens.len(),
@@ -284,7 +292,7 @@ impl TransformerEncoder {
             self.config.max_len
         );
         let d = self.config.d_model;
-        let mut x = Tensor::zeros(tokens.len(), d);
+        crate::InferScratch::reshape(x, tokens.len(), d);
         for (i, (&t, &s)) in tokens.iter().zip(segments).enumerate() {
             assert!(
                 (t as usize) < self.config.vocab,
@@ -299,10 +307,35 @@ impl TransformerEncoder {
                 row[c] = te[c] + pe[c] + se[c];
             }
         }
-        for b in &mut self.blocks {
-            x = b.forward(&x);
+    }
+
+    /// Training encode of a token sequence: returns the first `rows` rows
+    /// of the final hidden state (`rows × d`) and caches what
+    /// [`TransformerEncoder::backward`] needs. Every block but the last
+    /// produces all `n` rows, which the next block's K and V need; the last
+    /// produces the leading `rows` alone (see
+    /// [`EncoderBlock::forward`]). The regression heads read the `[CLS]`
+    /// row, so training passes `rows = 1`; `rows = n` gives the whole
+    /// hidden state, the full-sequence reference. Each returned row is
+    /// bit-identical to the same row at any other `rows`. A model with no
+    /// blocks returns the leading embedding rows. Telemetry: one
+    /// `nn.forward` sample and an `nn.tokens` mark of `n` per call.
+    ///
+    /// # Panics
+    /// Panics on empty input, out-of-vocabulary ids, sequences longer than
+    /// `max_len` (callers truncate), or `rows` outside `1..=n`.
+    pub fn forward(&mut self, tokens: &[u32], segments: &[u8], rows: usize) -> Tensor {
+        let t0 = ls_obs::enabled().then(std::time::Instant::now);
+        let mut x = Tensor::default();
+        self.embed(tokens, segments, &mut x);
+        let last = self.blocks.len().saturating_sub(1);
+        for (i, b) in self.blocks.iter_mut().enumerate() {
+            x = b.forward(&x, if i == last { rows } else { tokens.len() });
         }
-        self.cache_tokens = Some((tokens.to_vec(), segments.to_vec()));
+        if self.blocks.is_empty() {
+            x = leading_rows(&x, rows).into_owned();
+        }
+        self.cache_tokens = Some((tokens.to_vec(), segments.to_vec(), rows));
         if let Some(t0) = t0 {
             ls_obs::histogram("nn.forward").record(t0.elapsed().as_secs_f64());
             ls_obs::meter("nn.tokens").mark(tokens.len() as u64);
@@ -311,17 +344,12 @@ impl TransformerEncoder {
     }
 
     /// Inference-only encode of the `[CLS]` state: returns the `1 × d`
-    /// row 0 of the final hidden state, bit-identical to row 0 of
-    /// [`TransformerEncoder::forward`], with the same panics. Read-only on
-    /// the encoder, so the weights can be `Arc`-shared across worker
-    /// threads; the mutable embedding buffer lives in the caller-owned
-    /// [`InferScratch`](crate::InferScratch).
-    ///
-    /// Every block but the last produces all `n` rows; the last produces
-    /// row 0 alone, projecting K and V over the whole sequence (see the
-    /// [`infer`](crate::infer) module). A model with no blocks returns
-    /// embedding row 0. Telemetry matches the training forward: one
-    /// `nn.forward` sample and an `nn.tokens` mark of `n` per call.
+    /// row 0 of the final hidden state, bit-identical to
+    /// [`TransformerEncoder::forward`] with `rows = 1`, with the same
+    /// panics. Read-only on the encoder, so the weights can be `Arc`-shared
+    /// across worker threads; the mutable embedding buffer lives in the
+    /// caller-owned [`InferScratch`](crate::InferScratch). Telemetry
+    /// matches the training forward.
     pub fn forward_infer(
         &self,
         tokens: &[u32],
@@ -329,34 +357,7 @@ impl TransformerEncoder {
         scratch: &mut crate::InferScratch,
     ) -> Tensor {
         let t0 = ls_obs::enabled().then(std::time::Instant::now);
-        assert!(!tokens.is_empty(), "empty token sequence");
-        assert_eq!(
-            tokens.len(),
-            segments.len(),
-            "token/segment length mismatch"
-        );
-        assert!(
-            tokens.len() <= self.config.max_len,
-            "sequence length {} exceeds max_len {}",
-            tokens.len(),
-            self.config.max_len
-        );
-        let d = self.config.d_model;
-        crate::InferScratch::reshape(&mut scratch.seq, tokens.len(), d);
-        for (i, (&t, &s)) in tokens.iter().zip(segments).enumerate() {
-            assert!(
-                (t as usize) < self.config.vocab,
-                "token id {t} out of vocabulary"
-            );
-            assert!(s < 2, "segment id must be 0 or 1");
-            let row = scratch.seq.row_mut(i);
-            let te = self.tok_emb.v.row(t as usize);
-            let pe = self.pos_emb.v.row(i);
-            let se = self.seg_emb.v.row(s as usize);
-            for c in 0..d {
-                row[c] = te[c] + pe[c] + se[c];
-            }
-        }
+        self.embed(tokens, segments, &mut scratch.seq);
         let last = self.blocks.len().saturating_sub(1);
         let mut x: Option<Tensor> = None;
         for (i, b) in self.blocks.iter().enumerate() {
@@ -371,21 +372,32 @@ impl TransformerEncoder {
         cls
     }
 
-    /// Backward from a gradient on the full hidden state; accumulates all
-    /// parameter gradients (embeddings included).
+    /// Backward from a gradient on the rows the last
+    /// [`TransformerEncoder::forward`] returned (`rows × d`); accumulates
+    /// all parameter gradients, embeddings included. Telemetry: one
+    /// `nn.backward` sample per call.
+    ///
+    /// # Panics
+    /// Panics if called before [`TransformerEncoder::forward`], or if
+    /// `dhidden` is not `rows × d`.
     pub fn backward(&mut self, dhidden: &Tensor) {
         let t0 = ls_obs::enabled().then(std::time::Instant::now);
+        let (tokens, segments, rows) = self.cache_tokens.take().expect("forward before backward");
+        let d = self.config.d_model;
+        assert_eq!(
+            (dhidden.rows, dhidden.cols),
+            (rows, d),
+            "gradient shape against the forward's {rows} rows"
+        );
         let mut dx = dhidden.clone();
         for b in self.blocks.iter_mut().rev() {
             dx = b.backward(&dx);
         }
-        let (tokens, segments) = self.cache_tokens.take().expect("forward before backward");
-        for (i, (&t, &s)) in tokens.iter().zip(&segments).enumerate() {
-            let grow = dx.row(i).to_vec();
-            for (c, gv) in grow.iter().enumerate() {
-                self.tok_emb.g.data[t as usize * self.config.d_model + c] += gv;
-                self.pos_emb.g.data[i * self.config.d_model + c] += gv;
-                self.seg_emb.g.data[s as usize * self.config.d_model + c] += gv;
+        for (i, (&t, &s)) in tokens.iter().zip(&segments).enumerate().take(dx.rows) {
+            for (c, gv) in dx.row(i).iter().enumerate() {
+                self.tok_emb.g.data[t as usize * d + c] += gv;
+                self.pos_emb.g.data[i * d + c] += gv;
+                self.seg_emb.g.data[s as usize * d + c] += gv;
             }
         }
         if let Some(t0) = t0 {
@@ -424,32 +436,34 @@ mod tests {
     #[test]
     fn encoder_forward_shape() {
         let mut enc = TransformerEncoder::new(tiny_config());
-        let h = enc.forward(&[1, 2, 3, 4], &[0, 0, 1, 1]);
+        let h = enc.forward(&[1, 2, 3, 4], &[0, 0, 1, 1], 4);
         assert_eq!((h.rows, h.cols), (4, 8));
+        let cls = enc.forward(&[1, 2, 3, 4], &[0, 0, 1, 1], 1);
+        assert_eq!((cls.rows, cls.cols), (1, 8));
     }
 
     #[test]
     fn deterministic_given_seed() {
         let mut a = TransformerEncoder::new(tiny_config());
         let mut b = TransformerEncoder::new(tiny_config());
-        let ha = a.forward(&[5, 6, 7], &[0, 1, 1]);
-        let hb = b.forward(&[5, 6, 7], &[0, 1, 1]);
+        let ha = a.forward(&[5, 6, 7], &[0, 1, 1], 3);
+        let hb = b.forward(&[5, 6, 7], &[0, 1, 1], 3);
         assert_eq!(ha, hb);
     }
 
     #[test]
     fn position_matters() {
         let mut enc = TransformerEncoder::new(tiny_config());
-        let h1 = enc.forward(&[1, 2], &[0, 0]);
-        let h2 = enc.forward(&[2, 1], &[0, 0]);
+        let h1 = enc.forward(&[1, 2], &[0, 0], 2);
+        let h2 = enc.forward(&[2, 1], &[0, 0], 2);
         assert_ne!(h1.data, h2.data);
     }
 
     #[test]
     fn segment_matters() {
         let mut enc = TransformerEncoder::new(tiny_config());
-        let h1 = enc.forward(&[1, 2], &[0, 0]);
-        let h2 = enc.forward(&[1, 2], &[0, 1]);
+        let h1 = enc.forward(&[1, 2], &[0, 0], 2);
+        let h2 = enc.forward(&[1, 2], &[0, 1], 2);
         assert_ne!(h1.data, h2.data);
     }
 
@@ -457,7 +471,7 @@ mod tests {
     #[should_panic(expected = "out of vocabulary")]
     fn oov_token_panics() {
         let mut enc = TransformerEncoder::new(tiny_config());
-        enc.forward(&[99], &[0]);
+        enc.forward(&[99], &[0], 1);
     }
 
     #[test]
@@ -466,23 +480,51 @@ mod tests {
         let mut enc = TransformerEncoder::new(tiny_config());
         let toks: Vec<u32> = (0..13).map(|i| i % 10).collect();
         let segs = vec![0u8; 13];
-        enc.forward(&toks, &segs);
+        enc.forward(&toks, &segs, 1);
+    }
+
+    #[test]
+    fn rows_outside_one_to_n_panic() {
+        for layers in [2, 0] {
+            for rows in [0, 3] {
+                let mut enc = TransformerEncoder::new(EncoderConfig {
+                    layers,
+                    ..tiny_config()
+                });
+                let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    enc.forward(&[1, 2], &[0, 0], rows)
+                }))
+                .expect_err("rows outside 1..=n must panic");
+                let msg = err.downcast_ref::<String>().map_or("", |m| m.as_str());
+                assert!(
+                    msg.contains("leading rows"),
+                    "{layers} layers, {rows} rows: {msg}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "gradient shape")]
+    fn backward_needs_the_forward_rows() {
+        let mut enc = TransformerEncoder::new(tiny_config());
+        enc.forward(&[1, 2, 3], &[0, 0, 1], 1);
+        enc.backward(&Tensor::zeros(3, 8));
     }
 
     #[test]
     fn end_to_end_gradient_check_on_cls() {
-        // Loss = dot(u, hidden[0]); check d tok_emb by finite differences.
+        // Loss = dot(u, [CLS] row), through the pruned last block; check
+        // d tok_emb by finite differences.
         let mut enc = TransformerEncoder::new(tiny_config());
         let tokens = [3u32, 1, 4];
         let segs = [0u8, 0, 1];
         let u: Vec<f32> = (0..8).map(|i| (i as f32 * 0.37).sin()).collect();
-        let h = enc.forward(&tokens, &segs);
-        let mut dh = Tensor::zeros(h.rows, h.cols);
-        dh.row_mut(0).copy_from_slice(&u);
-        enc.backward(&dh);
+        enc.forward(&tokens, &segs, 1);
+        enc.backward(&Tensor::from_vec(1, 8, u.clone()));
         let loss = |enc: &mut TransformerEncoder| -> f32 {
-            let h = enc.forward(&tokens, &segs);
-            h.row(0).iter().zip(&u).map(|(a, b)| a * b).sum()
+            let cls = enc.forward(&tokens, &segs, 1);
+            cls.row(0).iter().zip(&u).map(|(a, b)| a * b).sum()
         };
         let eps = 1e-2f32;
         // Probe a handful of embedding entries of token 3.

@@ -1,5 +1,5 @@
-//! Read-only inference support: caller-owned scratch buffers and the
-//! `[CLS]`-only last block.
+//! Read-only inference support: caller-owned scratch buffers, and the
+//! leading-rows helpers behind the `[CLS]`-only last block.
 //!
 //! The training forward passes ([`crate::TransformerEncoder::forward`] and
 //! friends) cache activations *inside* the layers for the hand-written
@@ -15,22 +15,26 @@
 //!   an [`InferScratch`] value that the caller owns and reuses across
 //!   calls.
 //!
-//! Every regression head reads the `[CLS]` state (row 0) alone, so
-//! [`crate::TransformerEncoder::forward_infer`] returns that one row, and
-//! its last block computes nothing else: K and V still project all `n`
-//! rows (row 0 attends over the whole sequence), while Q, the score row,
+//! Every regression head reads the `[CLS]` state (row 0) alone, so both
+//! passes carry only that row through the last block.
+//! [`crate::TransformerEncoder::forward_infer`] returns it, and the training
+//! forward returns the leading `rows` rows, `rows = 1` for every head's
+//! training step. In that last block K and V still project all `n` rows
+//! (row 0 attends over the whole sequence), while Q, the score row,
 //! softmax, value mix, `W_O`, both residuals, both layer norms and the
-//! feed-forward run on row 0 only. Blocks before the last produce all `n`
-//! rows, which the next block's K and V need. At 64 tokens on LS-base that
-//! removes 40% of the forward's flops (DESIGN.md §4l).
+//! feed-forward run on the leading rows only; the training backward takes
+//! a gradient on those rows and returns one for all `n`. Blocks before the
+//! last produce all `n` rows, which the next block's K and V need. At 64
+//! tokens on LS-base that removes 40% of the forward's flops, and 40% of a
+//! training step's forward and backward together (DESIGN.md §4l).
 //!
 //! Every `forward_infer` performs *exactly* the same floating-point
 //! operations in the same order as its training counterpart for each row
 //! it produces: each GEMM output element is one ascending-`p` chain
 //! whatever the row count (see [`crate::kernels`]), and layer norm, GELU,
 //! the residual adds and softmax work per row. So the returned row is
-//! bit-identical to row 0 of `forward` — the property the serving layer's
-//! differential tests pin down.
+//! bit-identical to row 0 of `forward` at any `rows` — the property the
+//! serving layer's differential tests pin down.
 
 use crate::tensor::Tensor;
 use std::borrow::Cow;
@@ -73,10 +77,10 @@ impl InferScratch {
 /// otherwise.
 ///
 /// # Panics
-/// Panics if `rows > x.rows`.
+/// Panics unless `1 <= rows <= x.rows`.
 pub(crate) fn leading_rows(x: &Tensor, rows: usize) -> Cow<'_, Tensor> {
     assert!(
-        rows <= x.rows,
+        (1..=x.rows).contains(&rows),
         "{rows} leading rows of a {}-row tensor",
         x.rows
     );
@@ -88,6 +92,25 @@ pub(crate) fn leading_rows(x: &Tensor, rows: usize) -> Cow<'_, Tensor> {
             x.cols,
             x.data[..rows * x.cols].to_vec(),
         ))
+    }
+}
+
+/// Add `src` into the leading `src.rows` rows of `dst`, each element as
+/// `dst + src`.
+///
+/// # Panics
+/// Panics unless `src` is as wide as `dst` and no taller.
+pub(crate) fn add_leading_rows(dst: &mut Tensor, src: &Tensor) {
+    assert!(
+        src.cols == dst.cols && src.rows <= dst.rows,
+        "{}×{} added into the leading rows of {}×{}",
+        src.rows,
+        src.cols,
+        dst.rows,
+        dst.cols
+    );
+    for (d, s) in dst.data.iter_mut().zip(&src.data) {
+        *d += s;
     }
 }
 
@@ -124,14 +147,16 @@ mod tests {
                 (vec![3u32, 3, 3], vec![0u8, 1, 1]),
                 (vec![12u32], vec![0u8]),
             ] {
-                let trained = enc.forward(&tokens, &segs);
+                let hidden = enc.forward(&tokens, &segs, tokens.len());
+                let trained = enc.forward(&tokens, &segs, 1);
                 let cls = frozen.forward_infer(&tokens, &segs, &mut scratch);
-                assert_eq!((cls.rows, cls.cols), (1, trained.cols), "one [CLS] row");
+                assert_eq!((cls.rows, cls.cols), (1, hidden.cols), "one [CLS] row");
                 assert_eq!(
                     bits(cls.row(0)),
-                    bits(trained.row(0)),
+                    bits(hidden.row(0)),
                     "bit-identical [CLS] row, {layers} layers"
                 );
+                assert_eq!(cls, trained, "training [CLS] row, {layers} layers");
             }
         }
     }

@@ -18,11 +18,15 @@
 //! let cfg = EncoderConfig { vocab: 50, d_model: 16, heads: 2, layers: 1,
 //!                           ff_dim: 32, max_len: 8, seed: 1 };
 //! let mut enc = TransformerEncoder::new(cfg);
-//! let hidden = enc.forward(&[0, 7, 9], &[0, 0, 1]);
+//! // The whole hidden state: every row through every block.
+//! let hidden = enc.forward(&[0, 7, 9], &[0, 0, 1], 3);
 //! assert_eq!((hidden.rows, hidden.cols), (3, 16));
-//! // Backward propagates a loss gradient on any hidden rows:
-//! let mut d = Tensor::zeros(3, 16);
-//! d.set(0, 0, 1.0); // gradient on the [CLS] position
+//! // A training step on the [CLS] row alone: the last block computes
+//! // only that row, and backward takes a gradient on it.
+//! let cls = enc.forward(&[0, 7, 9], &[0, 0, 1], 1);
+//! assert_eq!(cls.row(0), hidden.row(0));
+//! let mut d = Tensor::zeros(1, 16);
+//! d.set(0, 0, 1.0);
 //! enc.backward(&d);
 //! ```
 

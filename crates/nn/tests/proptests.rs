@@ -1,11 +1,14 @@
 //! Property tests for the NN substrate: end-to-end gradient checks of the
 //! full encoder on random shapes and inputs, checkpoint round-trips, the
-//! `[CLS]`-only inference pass against the training forward, and the
-//! blocked GEMM on strided views against the naive oracles.
+//! `[CLS]`-only inference pass and the `[CLS]`-pruned training step against
+//! the full-sequence pass, and the blocked GEMM on strided views against
+//! the naive oracles.
 
 use ls_nn::kernels::{gemm, Op};
 use ls_nn::{EncoderConfig, InferScratch, Snapshot, Tensor, TransformerEncoder, Visit};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 fn config() -> impl Strategy<Value = EncoderConfig> {
     (
@@ -47,16 +50,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Finite-difference gradient check of the full encoder (loss = random
-    /// linear functional of the [CLS] row) at a few probed parameters.
+    /// linear functional of the [CLS] row, through the pruned last block) at
+    /// a few probed parameters.
     #[test]
     fn encoder_gradcheck((toks, segs) in tokens(), cfg in config(), probe in any::<u32>()) {
         let mut enc = TransformerEncoder::new(cfg);
         let d = cfg.d_model;
         let u: Vec<f32> = (0..d).map(|i| ((i as f32 + 1.3) * 0.7).sin()).collect();
-        let h = enc.forward(&toks, &segs);
-        let mut dh = Tensor::zeros(h.rows, h.cols);
-        dh.row_mut(0).copy_from_slice(&u);
-        enc.backward(&dh);
+        enc.forward(&toks, &segs, 1);
+        enc.backward(&Tensor::from_vec(1, d, u.clone()));
 
         // Collect analytic grads and flatten params.
         let mut analytic: Vec<f32> = Vec::new();
@@ -65,8 +67,8 @@ proptest! {
         let idx = (probe as usize) % total;
 
         let loss = |enc: &mut TransformerEncoder| -> f32 {
-            let h = enc.forward(&toks, &segs);
-            h.row(0).iter().zip(&u).map(|(a, b)| a * b).sum()
+            let cls = enc.forward(&toks, &segs, 1);
+            cls.row(0).iter().zip(&u).map(|(a, b)| a * b).sum()
         };
         let eps = 1e-2f32;
         let mut plus = enc.clone();
@@ -84,13 +86,14 @@ proptest! {
     #[test]
     fn snapshot_roundtrip((toks, segs) in tokens(), cfg in config()) {
         let mut enc = TransformerEncoder::new(cfg);
-        let before = enc.forward(&toks, &segs);
+        let n = toks.len();
+        let before = enc.forward(&toks, &segs, n);
         let snap = Snapshot::capture(&mut enc);
         enc.visit(&mut |p| p.v.scale(1.37));
-        let perturbed = enc.forward(&toks, &segs);
+        let perturbed = enc.forward(&toks, &segs, n);
         prop_assert_ne!(&before, &perturbed);
         snap.restore(&mut enc);
-        let after = enc.forward(&toks, &segs);
+        let after = enc.forward(&toks, &segs, n);
         prop_assert_eq!(before, after);
         // Binary round-trip too.
         let mut bytes = Vec::new();
@@ -104,8 +107,8 @@ proptest! {
     #[test]
     fn forward_is_pure((toks, segs) in tokens(), cfg in config()) {
         let mut enc = TransformerEncoder::new(cfg);
-        let a = enc.forward(&toks, &segs);
-        let b = enc.forward(&toks, &segs);
+        let a = enc.forward(&toks, &segs, toks.len());
+        let b = enc.forward(&toks, &segs, toks.len());
         prop_assert_eq!(a, b);
     }
 }
@@ -113,17 +116,51 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The inference pass returns row 0 of the training forward's hidden
-    /// state, bit for bit, at any depth (a model with no blocks included)
-    /// and any length up to the positional table.
+    /// The inference pass returns row 0 of the full hidden state (the
+    /// training forward at `rows = n`), bit for bit, at any depth (a model
+    /// with no blocks included) and any length up to the positional table.
     #[test]
     fn forward_infer_is_row_0_of_forward((cfg, (toks, segs)) in config_and_sequence()) {
         let mut enc = TransformerEncoder::new(cfg);
-        let hidden = enc.forward(&toks, &segs);
+        let hidden = enc.forward(&toks, &segs, toks.len());
         let cls = enc.forward_infer(&toks, &segs, &mut InferScratch::new());
         prop_assert_eq!((cls.rows, cls.cols), (1, cfg.d_model));
-        let bits = |row: &[f32]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         prop_assert_eq!(bits(cls.row(0)), bits(hidden.row(0)));
+    }
+
+    /// The `[CLS]`-pruned training step against the full-sequence
+    /// reference: `forward(.., 1)` + `backward(dcls)` and `forward(.., n)` +
+    /// `backward` of the gradient with rows 1..n set to zero give the same
+    /// `[CLS]` row and the same gradient of every parameter, embeddings
+    /// included, by `to_bits`, at any depth (a model with no blocks
+    /// included) and any length up to the positional table.
+    #[test]
+    fn pruned_backward_matches_full_reference(
+        (cfg, (toks, segs)) in config_and_sequence(),
+        seed in any::<u64>(),
+    ) {
+        let n = toks.len();
+        let dcls = Tensor::randn(1, cfg.d_model, 1.0, &mut StdRng::seed_from_u64(seed));
+        let mut pruned = TransformerEncoder::new(cfg);
+        let mut full = pruned.clone();
+
+        let cls = pruned.forward(&toks, &segs, 1);
+        pruned.backward(&dcls);
+        let hidden = full.forward(&toks, &segs, n);
+        let mut dhidden = Tensor::zeros(n, cfg.d_model);
+        dhidden.row_mut(0).copy_from_slice(dcls.row(0));
+        full.backward(&dhidden);
+
+        prop_assert_eq!((cls.rows, cls.cols), (1, cfg.d_model));
+        prop_assert_eq!(bits(cls.row(0)), bits(hidden.row(0)), "[CLS] row");
+        let grads = |enc: &mut TransformerEncoder| {
+            let mut out = Vec::new();
+            enc.visit(&mut |p| out.push(bits(&p.g.data)));
+            out
+        };
+        for (i, (p, f)) in grads(&mut pruned).iter().zip(&grads(&mut full)).enumerate() {
+            prop_assert_eq!(p, f, "gradient of parameter {}", i);
+        }
     }
 
     /// `gemm` on padded, offset views of A, B and the output, at 1 and 2
@@ -150,7 +187,6 @@ proptest! {
             Op::TN => (a.t_matmul_naive(&b), a.t_matmul(&b)),
             Op::NT => (a.matmul_t_naive(&b), a.matmul_t(&b)),
         };
-        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         prop_assert_eq!(bits(&dense.data), bits(&want.data), "natural strides");
 
         let (pa, pb, pc) = pads;
@@ -216,6 +252,10 @@ fn embed(t: &Tensor, off: usize, pad: usize) -> Vec<f32> {
         buf[off + r * ld..][..t.cols].copy_from_slice(t.row(r));
     }
     buf
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
 }
 
 fn perturb(enc: &mut TransformerEncoder, flat_idx: usize, eps: f32) {

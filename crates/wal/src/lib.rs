@@ -261,15 +261,15 @@ fn list_segments(dir: &Path) -> Result<Vec<SegmentFile>, WalError> {
 }
 
 /// Parse the frames of one segment body (header already stripped), the
-/// first of which has LSN `lsn`. Appends the intact records at LSN `from`
-/// and beyond to `out`, and returns the LSN after the last intact frame
-/// and, if the suffix is malformed, the byte offset (relative to the body)
-/// where it starts plus the reason.
+/// first of which has LSN `lsn`. Hands each intact record at LSN `from` and
+/// beyond to `visit`, and returns the LSN after the last intact frame and,
+/// if the suffix is malformed, the byte offset (relative to the body) where
+/// it starts plus the reason.
 fn parse_frames(
     body: &[u8],
     mut lsn: u64,
     from: u64,
-    out: &mut Vec<(u64, Vec<u8>)>,
+    visit: &mut dyn FnMut(u64, &[u8]),
 ) -> (u64, Option<(usize, &'static str)>) {
     let mut c = Cursor::new(body);
     while c.remaining() > 0 {
@@ -277,7 +277,7 @@ fn parse_frames(
         match next_frame(&mut c) {
             Ok(payload) => {
                 if lsn >= from {
-                    out.push((lsn, payload.to_vec()));
+                    visit(lsn, payload);
                 }
                 lsn += 1;
             }
@@ -306,7 +306,6 @@ fn next_frame<'a>(c: &mut Cursor<'a>) -> Result<&'a [u8], &'static str> {
 }
 
 struct Scan {
-    records: Vec<(u64, Vec<u8>)>,
     report: RecoveryReport,
     /// Sequence and current length of the segment appends continue into
     /// (`None` when the directory holds no usable active segment).
@@ -348,19 +347,21 @@ fn parse_header(bytes: &[u8], seg: &SegmentFile) -> Result<Option<u64>, WalError
 }
 
 /// Walk the segments, validating headers, LSN continuity, and every frame,
-/// and collect the records at LSN `from` and beyond. A sealed segment whose
-/// successor's header starts at or below `from` holds no such record and
-/// is passed by unread. `repair` truncates the torn tail of the last
-/// segment (writer recovery, always from LSN 0); read-only replay tolerates
+/// and hand each intact record at LSN `from` and beyond to `visit` (the
+/// report counts them). A sealed segment whose successor's header starts at
+/// or below `from` holds no such record and is passed by unread. `repair`
+/// truncates the torn tail of the last segment (writer recovery, always
+/// from LSN 0, which only counts the records); read-only replay tolerates
 /// the same tail without touching the files.
 fn scan(
     dir: &Path,
     injector: &Arc<dyn Injector>,
     repair: bool,
     from: u64,
+    visit: &mut dyn FnMut(u64, &[u8]),
 ) -> Result<Scan, WalError> {
     let segments = list_segments(dir)?;
-    let mut records = Vec::new();
+    let mut records = 0u64;
     let mut truncated = 0u64;
     let mut next_lsn = 0u64;
     let mut active = None;
@@ -411,7 +412,11 @@ fn scan(
                 reason: "segment first-LSN does not continue the chain",
             });
         }
-        let (end_lsn, torn) = parse_frames(&bytes[HEADER_LEN..], next_lsn, from, &mut records);
+        let (end_lsn, torn) =
+            parse_frames(&bytes[HEADER_LEN..], next_lsn, from, &mut |lsn, payload| {
+                records += 1;
+                visit(lsn, payload);
+            });
         next_lsn = end_lsn;
         if let Some((off, reason)) = torn {
             let abs = (HEADER_LEN + off) as u64;
@@ -439,11 +444,10 @@ fn scan(
     Ok(Scan {
         report: RecoveryReport {
             segments: kept_segments,
-            records: records.len() as u64,
+            records,
             truncated_tail_bytes: truncated,
             next_lsn,
         },
-        records,
         active,
         next_seq,
     })
@@ -465,8 +469,11 @@ pub fn replay(dir: &Path, from: u64) -> Result<ReplayOutcome, WalError> {
         return Ok((Vec::new(), RecoveryReport::default()));
     }
     let injector: Arc<dyn Injector> = Arc::new(NoFaults);
-    let scan = scan(dir, &injector, false, from)?;
-    Ok((scan.records, scan.report))
+    let mut records = Vec::new();
+    let scan = scan(dir, &injector, false, from, &mut |lsn, payload| {
+        records.push((lsn, payload.to_vec()))
+    })?;
+    Ok((records, scan.report))
 }
 
 /// A write handle onto a WAL directory. Single-writer: wrap in a mutex to
@@ -496,14 +503,15 @@ impl Wal {
 
     /// Open (or create) the log, running recovery: validate every segment,
     /// truncate the torn tail of the last one, and position the writer
-    /// after the final intact record.
+    /// after the final intact record. Recovery counts the records; it
+    /// copies no payload.
     pub fn open_with(
         dir: &Path,
         opts: WalOptions,
         injector: Arc<dyn Injector>,
     ) -> Result<Wal, WalError> {
         fs::create_dir_all(dir)?;
-        let scan = scan(dir, &injector, true, 0)?;
+        let scan = scan(dir, &injector, true, 0, &mut |_, _| {})?;
         if scan.report.truncated_tail_bytes > 0 {
             ls_obs::counter("wal.truncated_tail_bytes").add(scan.report.truncated_tail_bytes);
         }
