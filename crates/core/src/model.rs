@@ -23,6 +23,9 @@ pub struct LearnShapleyModel {
     pub sim_heads: Vec<Linear>,
     /// Shapley-value regression head (`d → 1`).
     pub value_head: Linear,
+    /// The `[CLS]` row the last training forward gave the heads, for their
+    /// backward.
+    cls: Option<Tensor>,
 }
 
 impl LearnShapleyModel {
@@ -38,6 +41,7 @@ impl LearnShapleyModel {
             encoder,
             sim_heads,
             value_head,
+            cls: None,
         }
     }
 
@@ -57,18 +61,23 @@ impl LearnShapleyModel {
     pub fn forward_sims(&mut self, tokens: &[u32], segments: &[u8]) -> [f32; 3] {
         let cls = self.encoder.forward(tokens, segments, 1);
         let mut out = [0.0f32; 3];
-        for (i, head) in self.sim_heads.iter_mut().enumerate() {
+        for (i, head) in self.sim_heads.iter().enumerate() {
             out[i] = head.forward(&cls).data[0];
         }
+        self.cls = Some(cls);
         out
     }
 
     /// Pre-training backward from per-head loss gradients, through the
     /// `[CLS]` row the forward produced.
+    ///
+    /// # Panics
+    /// Panics if called before [`LearnShapleyModel::forward_sims`].
     pub fn backward_sims(&mut self, d: [f32; 3]) {
+        let cls = self.cls.take().expect("forward before backward");
         let mut dcls = Tensor::zeros(1, self.encoder.config.d_model);
         for (i, head) in self.sim_heads.iter_mut().enumerate() {
-            let dhead = head.backward(&Tensor::from_vec(1, 1, vec![d[i]]));
+            let dhead = head.backward(&cls, &Tensor::from_vec(1, 1, vec![d[i]]));
             dcls.add_assign(&dhead);
         }
         self.encoder.backward(&dcls);
@@ -78,7 +87,9 @@ impl LearnShapleyModel {
     /// (query, tuple+fact) pair, from the `[CLS]` row alone (`rows = 1`).
     pub fn forward_value(&mut self, tokens: &[u32], segments: &[u8]) -> f32 {
         let cls = self.encoder.forward(tokens, segments, 1);
-        self.value_head.forward(&cls).data[0]
+        let value = self.value_head.forward(&cls).data[0];
+        self.cls = Some(cls);
+        value
     }
 
     /// Read-only Shapley-value inference: same arithmetic as
@@ -89,7 +100,7 @@ impl LearnShapleyModel {
     /// [`InferScratch`].
     pub fn infer_value(&self, tokens: &[u32], segments: &[u8], scratch: &mut InferScratch) -> f32 {
         let cls = self.encoder.forward_infer(tokens, segments, scratch);
-        self.value_head.forward_infer(&cls).data[0]
+        self.value_head.forward(&cls).data[0]
     }
 
     /// Read-only similarity inference: same arithmetic as
@@ -106,14 +117,20 @@ impl LearnShapleyModel {
         let cls = self.encoder.forward_infer(tokens, segments, scratch);
         let mut out = [0.0f32; 3];
         for (i, head) in self.sim_heads.iter().enumerate() {
-            out[i] = head.forward_infer(&cls).data[0];
+            out[i] = head.forward(&cls).data[0];
         }
         out
     }
 
     /// Fine-tuning backward from the value-loss gradient.
+    ///
+    /// # Panics
+    /// Panics if called before [`LearnShapleyModel::forward_value`].
     pub fn backward_value(&mut self, d: f32) {
-        let dcls = self.value_head.backward(&Tensor::from_vec(1, 1, vec![d]));
+        let cls = self.cls.take().expect("forward before backward");
+        let dcls = self
+            .value_head
+            .backward(&cls, &Tensor::from_vec(1, 1, vec![d]));
         self.encoder.backward(&dcls);
     }
 }

@@ -121,8 +121,10 @@ impl Dataset {
     /// bit-identical to the storeless build (pinned by test).
     ///
     /// Each query is evaluated once, by the log generator, which validates
-    /// it on its result; the record keeps that result, and only the ground
-    /// truth runs after generation.
+    /// it on its result; the record keeps that result. The generator runs
+    /// on the calling thread and the ground truth of each accepted query
+    /// runs on the ls-par pool as soon as the query is accepted, while the
+    /// generator evaluates the next candidate.
     pub fn build_with_store(
         db: Database,
         spec: &SchemaSpec,
@@ -130,32 +132,30 @@ impl Dataset {
         store: Option<&CircuitStore>,
     ) -> Dataset {
         let mut sp = ls_obs::span("dbshap.build").with("db", spec.name);
-        let mut log = Vec::new();
-        generate_log(&db, spec, &cfg.query_gen, |query, result| {
-            log.push((query, result))
-        });
-        sp.record("queries", log.len());
-        // Queries are ground-truthed across the ls-par pool — each is a pure
-        // function of its result, so the id-ordered output is identical at
+        // Each record is a pure function of its query and result, and
+        // records come back in log order, so the output is identical at
         // every thread count. The per-tuple Shapley fan-out inside
         // `ground_truth` (and the per-fact fan-out inside `shapley_values`)
         // runs inline on the same worker: parallelism nests only one level.
-        let truths = ls_par::par_map(&log, |_, (query, result)| {
-            let tuples = ls_obs::time("dbshap.ground_truth", || ground_truth(result, cfg, store));
-            (to_sql(query), tuples)
-        });
-        let queries: Vec<QueryRecord> = log
-            .into_iter()
-            .zip(truths)
-            .enumerate()
-            .map(|(id, ((query, result), (sql, tuples)))| QueryRecord {
-                id,
-                sql,
-                query,
-                result,
-                tuples,
-            })
-            .collect();
+        let queries = ls_par::stream(
+            |emit| {
+                generate_log(&db, spec, &cfg.query_gen, |query, result| {
+                    emit((query, result))
+                })
+            },
+            |id, (query, result)| {
+                let tuples =
+                    ls_obs::time("dbshap.ground_truth", || ground_truth(&result, cfg, store));
+                QueryRecord {
+                    id,
+                    sql: to_sql(&query),
+                    query,
+                    result,
+                    tuples,
+                }
+            },
+        );
+        sp.record("queries", queries.len());
         let recorded_tuples: u64 = queries.iter().map(|q| q.tuples.len() as u64).sum();
         sp.record("recorded_tuples", recorded_tuples);
         if ls_obs::enabled() {
@@ -350,26 +350,54 @@ mod tests {
         assert_eq!(a.splits, b.splits);
     }
 
+    /// `a` and `b` hold the same queries, splits and ground truth, bit for
+    /// bit.
+    fn assert_same_records(a: &Dataset, b: &Dataset, what: &str) {
+        assert_eq!(a.queries.len(), b.queries.len(), "{what}");
+        assert_eq!(a.splits, b.splits, "{what}");
+        for (qa, qb) in a.queries.iter().zip(&b.queries) {
+            assert_eq!(qa.id, qb.id);
+            assert_eq!(qa.sql, qb.sql, "{what}");
+            assert_eq!(qa.tuples.len(), qb.tuples.len(), "{what}");
+            for (ta, tb) in qa.tuples.iter().zip(&qb.tuples) {
+                assert_eq!(ta.tuple_idx, tb.tuple_idx);
+                assert_eq!(ta.shapley.len(), tb.shapley.len());
+                for ((fa, va), (fb, vb)) in ta.shapley.iter().zip(&tb.shapley) {
+                    assert_eq!(fa, fb);
+                    assert_eq!(va.to_bits(), vb.to_bits(), "{what}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn build_bit_identical_across_thread_counts() {
         let serial = ls_par::with_threads(1, tiny);
         for t in [2usize, 4] {
             let par = ls_par::with_threads(t, tiny);
-            assert_eq!(serial.queries.len(), par.queries.len());
-            assert_eq!(serial.splits, par.splits);
-            for (qa, qb) in serial.queries.iter().zip(&par.queries) {
-                assert_eq!(qa.id, qb.id);
-                assert_eq!(qa.sql, qb.sql);
-                assert_eq!(qa.tuples.len(), qb.tuples.len());
-                for (ta, tb) in qa.tuples.iter().zip(&qb.tuples) {
-                    assert_eq!(ta.tuple_idx, tb.tuple_idx);
-                    assert_eq!(ta.shapley.len(), tb.shapley.len());
-                    for ((fa, va), (fb, vb)) in ta.shapley.iter().zip(&tb.shapley) {
-                        assert_eq!(fa, fb);
-                        assert_eq!(va.to_bits(), vb.to_bits(), "threads={t}");
-                    }
-                }
-            }
+            assert_same_records(&serial, &par, &format!("threads={t}"));
+        }
+        // The store-backed build streams compiles and store writes next to
+        // the generator: at every width it gives the storeless records.
+        for t in [1usize, 2, 4] {
+            let dir =
+                std::env::temp_dir().join(format!("ls_dbshap_threads_{t}_{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let store = CircuitStore::open(&dir, 256).unwrap();
+            let cfg = DatasetConfig {
+                query_gen: QueryGenConfig {
+                    num_queries: 14,
+                    ..Default::default()
+                },
+                ..Default::default()
+            };
+            let db = generate_imdb(&ImdbConfig::default());
+            let stored = ls_par::with_threads(t, || {
+                Dataset::build_with_store(db, &imdb_spec(), &cfg, Some(&store))
+            });
+            assert_same_records(&serial, &stored, &format!("store, threads={t}"));
+            assert!(store.stats().misses > 0, "a cold store compiles");
+            let _ = std::fs::remove_dir_all(&dir);
         }
     }
 

@@ -22,6 +22,9 @@ pub struct MultiHeadAttention {
 
 #[derive(Debug, Clone)]
 struct AttnCache {
+    /// The input over all `n` rows: what `W_K` and `W_V` read, and `W_Q`
+    /// its leading `rows` rows.
+    x: Tensor,
     /// The leading `rows` rows of Q.
     q: Tensor,
     /// K and V over all `n` rows.
@@ -29,6 +32,8 @@ struct AttnCache {
     v: Tensor,
     /// Softmax attention rows per head (`rows × n` each).
     attn: Vec<Tensor>,
+    /// The concatenated heads `W_O` read.
+    concat: Tensor,
 }
 
 /// Copy columns `[h*dh, (h+1)*dh)` of `src` into a fresh `n × dh` tensor.
@@ -144,8 +149,9 @@ impl MultiHeadAttention {
     /// whose `[CLS]` row is all the heads read. K and V project all `n`
     /// rows, since every query attends over the whole sequence; Q, the
     /// `rows × n` scores, softmax, value mix and `W_O` run on the leading
-    /// `rows` rows only, and only those are cached for backward. Each row
-    /// is bit-identical to the same row of the `rows = n` pass.
+    /// `rows` rows only, and only those are cached for backward, next to one
+    /// copy of `x`. Each row is bit-identical to the same row of the
+    /// `rows = n` pass.
     ///
     /// # Panics
     /// Panics unless `1 <= rows <= n`.
@@ -155,7 +161,14 @@ impl MultiHeadAttention {
         let v = self.wv.forward(x);
         let (concat, attn) = self.attend(&q, &k, &v, true);
         let y = self.wo.forward(&concat);
-        self.cache = Some(AttnCache { q, k, v, attn });
+        self.cache = Some(AttnCache {
+            x: x.clone(),
+            q,
+            k,
+            v,
+            attn,
+            concat,
+        });
         y
     }
 
@@ -167,11 +180,11 @@ impl MultiHeadAttention {
     /// # Panics
     /// Panics unless `1 <= rows <= n`.
     pub fn forward_infer(&self, x: &Tensor, rows: usize) -> Tensor {
-        let q = self.wq.forward_infer(&leading_rows(x, rows));
-        let k = self.wk.forward_infer(x);
-        let v = self.wv.forward_infer(x);
+        let q = self.wq.forward(&leading_rows(x, rows));
+        let k = self.wk.forward(x);
+        let v = self.wv.forward(x);
         let (concat, _) = self.attend(&q, &k, &v, false);
-        self.wo.forward_infer(&concat)
+        self.wo.forward(&concat)
     }
 
     /// Backward pass from the gradient `dy` (`rows × d_model`) on the rows
@@ -189,7 +202,7 @@ impl MultiHeadAttention {
         let dh = self.d_model / self.heads;
         let scale = 1.0 / (dh as f32).sqrt();
         let cache = self.cache.take().expect("forward before backward");
-        let dconcat = self.wo.backward(dy);
+        let dconcat = self.wo.backward(&cache.concat, dy);
         let (rows, n) = (cache.q.rows, cache.k.rows);
         let mut dq = Tensor::zeros(rows, self.d_model);
         let mut dk = Tensor::zeros(n, self.d_model);
@@ -211,10 +224,10 @@ impl MultiHeadAttention {
             merge_head(&mut dk, &dkh, h, dh);
             merge_head(&mut dv, &dvh, h, dh);
         }
-        let dx_q = self.wq.backward(&dq);
-        let mut dx = self.wk.backward(&dk);
+        let dx_q = self.wq.backward(&leading_rows(&cache.x, rows), &dq);
+        let mut dx = self.wk.backward(&cache.x, &dk);
         add_leading_rows(&mut dx, &dx_q);
-        dx.add_assign(&self.wv.backward(&dv));
+        dx.add_assign(&self.wv.backward(&cache.x, &dv));
         dx
     }
 }
@@ -272,11 +285,11 @@ mod tests {
     /// The module's output for the leading `rows` rows of `x`, through the
     /// sliced oracle, with its per-head softmax matrices.
     fn forward_sliced(attn: &MultiHeadAttention, x: &Tensor, rows: usize) -> (Tensor, Vec<Tensor>) {
-        let q = attn.wq.forward_infer(&leading_rows(x, rows));
-        let k = attn.wk.forward_infer(x);
-        let v = attn.wv.forward_infer(x);
+        let q = attn.wq.forward(&leading_rows(x, rows));
+        let k = attn.wk.forward(x);
+        let v = attn.wv.forward(x);
         let (concat, scores) = attend_sliced(attn, &q, &k, &v);
-        (attn.wo.forward_infer(&concat), scores)
+        (attn.wo.forward(&concat), scores)
     }
 
     proptest! {
@@ -331,8 +344,8 @@ mod tests {
             }
         }
         assert_eq!(
-            bits(&attn.wo.forward_infer(&concat)),
-            bits(&attn.wo.forward_infer(&negated))
+            bits(&attn.wo.forward(&concat)),
+            bits(&attn.wo.forward(&negated))
         );
     }
 

@@ -17,7 +17,9 @@ use rand::SeedableRng;
 pub struct FeedForward {
     lin1: Linear,
     lin2: Linear,
-    cache_pre: Option<Tensor>,
+    /// The last training forward's input, pre-activation and activation:
+    /// what backward needs of `lin1`, GELU and `lin2`.
+    cache: Option<(Tensor, Tensor, Tensor)>,
 }
 
 impl FeedForward {
@@ -26,7 +28,7 @@ impl FeedForward {
         FeedForward {
             lin1: Linear::new(d_model, ff_dim, rng),
             lin2: Linear::new(ff_dim, d_model, rng),
-            cache_pre: None,
+            cache: None,
         }
     }
 
@@ -35,27 +37,28 @@ impl FeedForward {
         let pre = self.lin1.forward(x);
         let mut act = pre.clone();
         vmath::gelu(&mut act.data);
-        self.cache_pre = Some(pre);
-        self.lin2.forward(&act)
+        let y = self.lin2.forward(&act);
+        self.cache = Some((x.clone(), pre, act));
+        y
     }
 
     /// Inference forward pass: same arithmetic as [`FeedForward::forward`]
     /// but read-only. Bit-identical to the training forward.
     pub fn forward_infer(&self, x: &Tensor) -> Tensor {
-        let mut act = self.lin1.forward_infer(x);
+        let mut act = self.lin1.forward(x);
         vmath::gelu(&mut act.data);
-        self.lin2.forward_infer(&act)
+        self.lin2.forward(&act)
     }
 
     /// Backward pass.
     pub fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let mut dpre = self.lin2.backward(dy);
-        let mut grad = self.cache_pre.take().expect("forward before backward");
+        let (x, mut grad, act) = self.cache.take().expect("forward before backward");
+        let mut dpre = self.lin2.backward(&act, dy);
         vmath::gelu_grad(&mut grad.data);
         for (d, g) in dpre.data.iter_mut().zip(&grad.data) {
             *d *= g;
         }
-        self.lin1.backward(&dpre)
+        self.lin1.backward(&x, &dpre)
     }
 }
 

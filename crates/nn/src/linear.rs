@@ -5,13 +5,15 @@ use crate::tensor::Tensor;
 use rand::rngs::StdRng;
 
 /// `y = x·W + b`, where `x` is `n × in`, `W` is `in × out`, `b` is `1 × out`.
+///
+/// The layer holds only its parameters: the layer that feeds it keeps the
+/// input for backward, and passes it to [`Linear::backward`].
 #[derive(Debug, Clone)]
 pub struct Linear {
     /// Weight matrix (`in × out`).
     pub w: Param,
     /// Bias row (`1 × out`).
     pub b: Param,
-    cached_input: Option<Tensor>,
 }
 
 impl Linear {
@@ -21,13 +23,12 @@ impl Linear {
         Linear {
             w: Param::new(Tensor::randn(dim_in, dim_out, std, rng)),
             b: Param::new(Tensor::zeros(1, dim_out)),
-            cached_input: None,
         }
     }
 
-    /// The shared affine map `x·W + b` — the single arithmetic path behind
-    /// both [`Linear::forward`] and [`Linear::forward_infer`].
-    fn affine(&self, x: &Tensor) -> Tensor {
+    /// Forward pass `x·W + b`. Read-only, so one layer can be shared
+    /// across threads; training and inference run the same arithmetic.
+    pub fn forward(&self, x: &Tensor) -> Tensor {
         let mut y = x.matmul(&self.w.v);
         for r in 0..y.rows {
             let row = y.row_mut(r);
@@ -38,26 +39,9 @@ impl Linear {
         y
     }
 
-    /// Forward pass; caches the input for backward.
-    pub fn forward(&mut self, x: &Tensor) -> Tensor {
-        let y = self.affine(x);
-        self.cached_input = Some(x.clone());
-        y
-    }
-
-    /// Inference forward pass: same arithmetic as [`Linear::forward`] but
-    /// read-only (no input cache), so the layer can be shared across
-    /// threads. Bit-identical to the training forward.
-    pub fn forward_infer(&self, x: &Tensor) -> Tensor {
-        self.affine(x)
-    }
-
-    /// Backward pass: accumulates `dW`, `db`, returns `dx`.
-    ///
-    /// # Panics
-    /// Panics if called before [`Linear::forward`].
-    pub fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let x = self.cached_input.as_ref().expect("forward before backward");
+    /// Backward pass from the gradient `dy` on the output of
+    /// [`Linear::forward`] over `x`: accumulates `dW`, `db`, returns `dx`.
+    pub fn backward(&mut self, x: &Tensor, dy: &Tensor) -> Tensor {
         // dW = xᵀ·dy ; db = colsum(dy) ; dx = dy·Wᵀ.
         self.w.g.add_assign(&x.t_matmul(dy));
         for r in 0..dy.rows {
@@ -101,9 +85,7 @@ mod tests {
         let x = Tensor::from_vec(2, 3, vec![0.5, -1.0, 2.0, 1.5, 0.3, -0.7]);
         // Scalar loss = sum(y ⊙ u) for a fixed random-ish u.
         let u = Tensor::from_vec(2, 2, vec![1.0, -2.0, 0.5, 1.5]);
-        let y = l.forward(&x);
-        let _ = y;
-        let dx = l.backward(&u);
+        let dx = l.backward(&x, &u);
 
         let eps = 1e-3f32;
         // Check dW.
@@ -129,9 +111,8 @@ mod tests {
             xp.data[i] += eps;
             let mut xm = x.clone();
             xm.data[i] -= eps;
-            let mut l2 = l.clone();
-            let yp = l2.forward(&xp);
-            let ym = l2.forward(&xm);
+            let yp = l.forward(&xp);
+            let ym = l.forward(&xm);
             let fp: f32 = yp.data.iter().zip(&u.data).map(|(a, b)| a * b).sum();
             let fm: f32 = ym.data.iter().zip(&u.data).map(|(a, b)| a * b).sum();
             let numeric = (fp - fm) / (2.0 * eps);
@@ -151,11 +132,9 @@ mod tests {
         let mut l = Linear::new(2, 1, &mut rng());
         let x = Tensor::from_vec(1, 2, vec![1.0, 1.0]);
         let dy = Tensor::from_vec(1, 1, vec![1.0]);
-        l.forward(&x);
-        l.backward(&dy);
+        l.backward(&x, &dy);
         let after_one = l.w.g.data.clone();
-        l.forward(&x);
-        l.backward(&dy);
+        l.backward(&x, &dy);
         for (a, b) in l.w.g.data.iter().zip(&after_one) {
             assert!((a - 2.0 * b).abs() < 1e-6);
         }
@@ -168,12 +147,5 @@ mod tests {
         l.visit(&mut |p| sizes.push(p.len()));
         assert_eq!(sizes, vec![4, 2]);
         assert_eq!(l.param_count(), 6);
-    }
-
-    #[test]
-    #[should_panic(expected = "forward before backward")]
-    fn backward_without_forward_panics() {
-        let mut l = Linear::new(2, 2, &mut rng());
-        l.backward(&Tensor::zeros(1, 2));
     }
 }

@@ -200,9 +200,10 @@ mod tests {
         let initial = loss_of(&mut layer);
         for _ in 0..400 {
             for (x, &y) in xs.iter().zip(&ys) {
-                let out = layer.forward(&Tensor::from_vec(1, 2, x.to_vec()));
+                let x = Tensor::from_vec(1, 2, x.to_vec());
+                let out = layer.forward(&x);
                 let d = 2.0 * (out.data[0] - y);
-                layer.backward(&Tensor::from_vec(1, 1, vec![d]));
+                layer.backward(&x, &Tensor::from_vec(1, 1, vec![d]));
             }
             opt.step(&mut layer, 1.0 / xs.len() as f32);
         }
@@ -219,8 +220,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let mut layer = Linear::new(2, 2, &mut rng);
         let mut opt = Adam::new(&mut layer, AdamConfig::default());
-        layer.forward(&Tensor::from_vec(1, 2, vec![1.0, 2.0]));
-        layer.backward(&Tensor::from_vec(1, 2, vec![1.0, 1.0]));
+        layer.backward(
+            &Tensor::from_vec(1, 2, vec![1.0, 2.0]),
+            &Tensor::from_vec(1, 2, vec![1.0, 1.0]),
+        );
         assert!(layer.w.g.norm() > 0.0);
         opt.step(&mut layer, 1.0);
         assert_eq!(layer.w.g.norm(), 0.0);
@@ -253,8 +256,10 @@ mod tests {
         let mut layer = Linear::new(3, 2, &mut rng);
         let mut opt = Adam::new(&mut layer, AdamConfig::default());
         let step_once = |layer: &mut Linear, opt: &mut Adam| {
-            layer.forward(&Tensor::from_vec(1, 3, vec![0.3, -0.7, 1.1]));
-            layer.backward(&Tensor::from_vec(1, 2, vec![0.5, -0.25]));
+            layer.backward(
+                &Tensor::from_vec(1, 3, vec![0.3, -0.7, 1.1]),
+                &Tensor::from_vec(1, 2, vec![0.5, -0.25]),
+            );
             opt.step(layer, 1.0);
         };
         for _ in 0..7 {
@@ -316,8 +321,10 @@ mod tests {
                 ..Default::default()
             },
         );
-        layer.forward(&Tensor::from_vec(1, 1, vec![1.0]));
-        layer.backward(&Tensor::from_vec(1, 1, vec![1.0]));
+        layer.backward(
+            &Tensor::from_vec(1, 1, vec![1.0]),
+            &Tensor::from_vec(1, 1, vec![1.0]),
+        );
         let before = layer.w.v.data[0];
         opt.step(&mut layer, 1.0);
         assert!((layer.w.v.data[0] - before).abs() > 0.1);

@@ -35,8 +35,10 @@ mod tests {
     fn clipping_caps_the_norm() {
         let mut rng = StdRng::seed_from_u64(5);
         let mut layer = Linear::new(4, 4, &mut rng);
-        layer.forward(&Tensor::from_vec(1, 4, vec![10.0, -10.0, 10.0, -10.0]));
-        layer.backward(&Tensor::from_vec(1, 4, vec![100.0, 100.0, 100.0, 100.0]));
+        layer.backward(
+            &Tensor::from_vec(1, 4, vec![10.0, -10.0, 10.0, -10.0]),
+            &Tensor::from_vec(1, 4, vec![100.0, 100.0, 100.0, 100.0]),
+        );
         let before = clip_grad_norm(&mut layer, 1.0);
         assert!(before > 1.0);
         // After clipping, the norm equals max_norm (within float error).
@@ -48,8 +50,10 @@ mod tests {
     fn small_gradients_untouched() {
         let mut rng = StdRng::seed_from_u64(6);
         let mut layer = Linear::new(2, 2, &mut rng);
-        layer.forward(&Tensor::from_vec(1, 2, vec![0.01, 0.01]));
-        layer.backward(&Tensor::from_vec(1, 2, vec![0.01, 0.01]));
+        layer.backward(
+            &Tensor::from_vec(1, 2, vec![0.01, 0.01]),
+            &Tensor::from_vec(1, 2, vec![0.01, 0.01]),
+        );
         let g_before = layer.w.g.clone();
         let norm = clip_grad_norm(&mut layer, 10.0);
         assert!(norm < 10.0);

@@ -1,24 +1,34 @@
 //! # ls-par — deterministic data-parallel runtime
 //!
 //! A zero-dependency (std-only) worker-pool layer used by the training,
-//! Shapley, and dataset-generation stacks. Everything here is built on
-//! scoped `std::thread` spawns, so borrows flow into workers without `Arc`
-//! gymnastics, and — crucially — **every construct is deterministic**: the
-//! value computed for item `i` and the order values are combined in never
-//! depend on the number of threads or on scheduling. Parallelism only
-//! decides *who* computes, never *what*.
+//! Shapley, and dataset-building stacks. Everything here runs on one
+//! persistent pool: helper threads are spawned once, lazily, and park
+//! between jobs, and the thread that submits a job works a share of it
+//! itself, so `LS_THREADS=2` means the caller plus one helper. Borrows flow
+//! into the shares without `Arc` gymnastics, and — crucially — **every
+//! construct is deterministic**: the value computed for item `i` and the
+//! order values are combined in never depend on the number of threads or
+//! on scheduling. Parallelism only decides *who* computes, never *what*.
 //!
-//! * [`par_map`] / [`par_map_init`] — chunked map over a slice; workers
+//! * [`par_map`] / [`par_map_init`] — chunked map over a slice; shares
 //!   claim chunks from an atomic cursor, results are reassembled in item
-//!   order. `par_map_init` gives each worker a lazily-created scratch state
+//!   order. `par_map_init` gives each share a lazily-created scratch state
 //!   (a model clone, a scorer) that is reused across its chunks.
-//! * [`scope`] — run `n` indexed jobs across the pool, collecting results
-//!   in index order (the building block the others share).
 //! * [`par_chunks_mut`] — statically partition a mutable slice into
 //!   disjoint chunks and process them concurrently (kernel row-blocking).
+//! * [`stream`] — the caller runs a producer while the pool consumes each
+//!   item as soon as it is emitted; results come back in emission order
+//!   (the dataset build overlaps its serial log generator with the ground
+//!   truth this way).
 //! * [`par_reduce`] / [`tree_reduce`] — map + **fixed-shape binary tree**
 //!   reduction: the combine tree depends only on the item count, so
 //!   floating-point reductions are bit-identical at any thread count.
+//!
+//! The pool serves one job at a time. A thread that submits while another
+//! thread's job holds the helpers does not wait: it works its whole job
+//! itself, which gives the same result under the determinism contract. A
+//! panic in any share is re-raised on the submitter once every share of
+//! the job has stopped, and the helpers then serve the next job.
 //!
 //! ## Thread-count resolution
 //!
@@ -30,8 +40,10 @@
 //! 2. the `LS_THREADS` environment variable (parsed once);
 //! 3. [`std::thread::available_parallelism`].
 //!
-//! Calls made *from inside a pool worker* always run inline (single-level
+//! Every share, the caller's included, runs as a pool worker, and calls
+//! made *from inside a pool worker* always run inline (single-level
 //! parallelism): nesting `par_map` inside `par_map` cannot oversubscribe.
+//! A wider width than the pool has spawned so far grows the helper set.
 //!
 //! ## The determinism contract
 //!
@@ -47,15 +59,19 @@
 //!
 //! With observability on (`LS_OBS`), the pool exports `par.tasks` /
 //! `par.chunks` counters, a `par.queue_depth` gauge sampled at every chunk
-//! claim, a `par.pool.spawns` counter, and a `par.worker.busy` histogram
-//! of per-worker busy seconds per scope.
+//! claim, a `par.pool.spawns` counter (once per helper per process), a
+//! `par.pool.size` gauge (helpers plus the caller), a
+//! `par.pool.inline_busy` counter of jobs their caller worked alone because
+//! another job held the helpers, and a `par.worker.busy` histogram of busy
+//! seconds per share — every share, the caller's and each stream
+//! consumer's included, less the time a consumer waits for the producer.
 
 #![warn(missing_docs)]
 
 mod pool;
 mod reduce;
 
-pub use pool::{par_chunks_mut, par_map, par_map_init, scope};
+pub use pool::{par_chunks_mut, par_map, par_map_init, stream};
 pub use reduce::{par_reduce, tree_reduce};
 
 use std::cell::Cell;

@@ -1,9 +1,235 @@
-//! Scoped worker pools: chunk-claiming `par_map`, indexed `scope`, and
-//! static mutable-slice partitioning.
+//! The persistent worker pool and its front ends: chunk-claiming
+//! `par_map`, static mutable-slice partitioning, and the order-preserving
+//! producer `stream`.
+//!
+//! Every front end hands one task to [`run`], which works `workers` shares
+//! of it. The submitting thread works share 0 itself; helper threads,
+//! spawned once and parked between jobs, claim the others. The pool serves
+//! one job at a time: a submitter that finds the helpers busy with another
+//! thread's job works all of its shares itself.
 
 use crate::{effective_threads, WorkerGuard};
+use std::any::Any;
+use std::cell::Cell;
+use std::collections::VecDeque;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
+
+/// One job's work: share `s` of it is `task(s)`.
+type Task<'a> = dyn Fn(usize) + Sync + 'a;
+type Panic = Box<dyn Any + Send>;
+
+/// The job the helpers serve.
+struct Job {
+    task: &'static Task<'static>,
+    trace: Option<ls_obs::TraceContext>,
+    workers: usize,
+    /// The lowest share nobody has claimed yet.
+    next: usize,
+    /// Shares helpers have claimed and not finished.
+    running: usize,
+    /// The first panic of a helper's share.
+    panic: Option<Panic>,
+}
+
+impl Job {
+    fn claim(&mut self) -> Option<usize> {
+        (self.next < self.workers).then(|| {
+            self.next += 1;
+            self.next - 1
+        })
+    }
+}
+
+struct Pool {
+    /// Helper threads spawned so far; they live as long as the process.
+    helpers: usize,
+    job: Option<Job>,
+}
+
+static POOL: Mutex<Pool> = Mutex::new(Pool {
+    helpers: 0,
+    job: None,
+});
+/// Helpers park here between shares.
+static WORK: Condvar = Condvar::new();
+/// A submitter waits here for its helpers' shares.
+static DONE: Condvar = Condvar::new();
+
+thread_local! {
+    /// Seconds the current share has spent parked on a stream queue, which
+    /// its busy time leaves out.
+    static PARKED: Cell<f64> = const { Cell::new(0.0) };
+}
+
+/// The pool state. No share runs under this lock, and every update leaves
+/// the state valid, so a poisoned lock still holds a valid state.
+fn lock() -> MutexGuard<'static, Pool> {
+    POOL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn park(cv: &Condvar, pool: MutexGuard<'static, Pool>) -> MutexGuard<'static, Pool> {
+    cv.wait(pool).unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Work one share on this thread as a pool worker: nested parallel calls
+/// run inline, spans nest under the submitter's, and a panic comes back as
+/// the payload.
+fn run_share(trace: Option<ls_obs::TraceContext>, share: impl FnOnce()) -> Result<(), Panic> {
+    catch_unwind(AssertUnwindSafe(|| {
+        let _worker = WorkerGuard::enter();
+        let _trace = trace.as_ref().map(ls_obs::TraceContext::attach);
+        let t0 = ls_obs::enabled().then(Instant::now);
+        PARKED.set(0.0);
+        share();
+        if let Some(t0) = t0 {
+            let busy = t0.elapsed().as_secs_f64() - PARKED.get();
+            ls_obs::histogram("par.worker.busy").record(busy.max(0.0));
+        }
+    }))
+}
+
+fn helper() {
+    let mut pool = lock();
+    loop {
+        let claimed = pool.job.as_mut().and_then(|job| {
+            let share = job.claim()?;
+            job.running += 1;
+            Some((job.task, job.trace, share))
+        });
+        let Some(claimed) = claimed else {
+            pool = park(&WORK, pool);
+            continue;
+        };
+        drop(pool);
+        // `claimed` and its task reference end here, before `running` drops.
+        let result = {
+            let (task, trace, share) = claimed;
+            run_share(trace, || task(share))
+        };
+        pool = lock();
+        let job = pool
+            .job
+            .as_mut()
+            .expect("a job stays posted while a helper works a share of it");
+        job.running -= 1;
+        if let Err(p) = result {
+            job.panic.get_or_insert(p);
+        }
+        if job.running == 0 {
+            DONE.notify_all();
+        }
+    }
+}
+
+/// Spawn helpers until there are `want`. A spawn the OS refuses leaves the
+/// pool smaller; the submitter then works the shares no helper claims.
+/// Helpers are never joined: each lives for the process, and it catches
+/// every share's panic, so a detached helper hides none.
+fn grow(pool: &mut Pool, want: usize) {
+    while pool.helpers < want {
+        let spawned = std::thread::Builder::new()
+            .name(format!("ls-par-{}", pool.helpers + 1))
+            .spawn(helper);
+        if spawned.is_err() {
+            break;
+        }
+        pool.helpers += 1;
+        if ls_obs::enabled() {
+            ls_obs::counter("par.pool.spawns").incr();
+        }
+    }
+}
+
+/// Work `workers` shares of one job and return once every one has finished.
+/// The caller works share 0, `lead`, itself; helpers claim shares
+/// `1..workers`, share `s` being `task(s)`, and the caller works any that no
+/// helper has claimed once `lead` is done. A panic in any share is re-raised
+/// here after all of them stop.
+fn run(workers: usize, lead: impl FnOnce(), task: &Task<'_>) {
+    let trace = ls_obs::TraceContext::current();
+    let mut pool = lock();
+    if pool.job.is_some() {
+        // Another thread's job holds the helpers: work every share here.
+        drop(pool);
+        if ls_obs::enabled() {
+            ls_obs::counter("par.pool.inline_busy").incr();
+        }
+        let shares = run_share(trace, lead)
+            .and_then(|()| (1..workers).try_for_each(|s| run_share(trace, || task(s))));
+        if let Err(p) = shares {
+            resume_unwind(p);
+        }
+        return;
+    }
+    grow(&mut pool, workers - 1);
+    if ls_obs::enabled() {
+        ls_obs::gauge("par.pool.size").set((pool.helpers + 1) as f64);
+    }
+    // SAFETY: the helpers see `task` as `'static`, but only through the job
+    // posted below, and every use ends before this frame does: from here to
+    // the `take` of the job, the caller runs shares only under
+    // `catch_unwind`, reaches the pool only through `lock` and `park`,
+    // which do not panic on a poisoned lock, and leaves its wait only once
+    // no helper holds a claimed share, and so the reference. No share can
+    // be claimed once the job is taken.
+    let task_ref = unsafe { std::mem::transmute::<&Task<'_>, &'static Task<'static>>(task) };
+    pool.job = Some(Job {
+        task: task_ref,
+        trace,
+        workers,
+        next: 1,
+        running: 0,
+        panic: None,
+    });
+    drop(pool);
+    for _ in 1..workers {
+        WORK.notify_one();
+    }
+    let mut panic = run_share(trace, lead).err();
+    loop {
+        let share = lock().job.as_mut().and_then(Job::claim);
+        let Some(share) = share else { break };
+        if let Err(p) = run_share(trace, || task(share)) {
+            panic.get_or_insert(p);
+        }
+    }
+    let mut pool = lock();
+    while pool.job.as_ref().is_some_and(|job| job.running > 0) {
+        pool = park(&DONE, pool);
+    }
+    let job = pool.job.take();
+    drop(pool);
+    if let Some(p) = panic.or(job.and_then(|job| job.panic)) {
+        resume_unwind(p);
+    }
+}
+
+/// `(index, value)` pieces from the shares of one job, reassembled in index
+/// order.
+struct Gather<R>(Mutex<Vec<(usize, R)>>);
+
+impl<R> Gather<R> {
+    fn new() -> Self {
+        Gather(Mutex::new(Vec::new()))
+    }
+
+    fn extend(&self, part: Vec<(usize, R)>) {
+        // Pieces are pushed whole, so a poisoned lock holds whole pieces.
+        self.0
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .extend(part);
+    }
+
+    fn into_sorted(self) -> impl Iterator<Item = R> {
+        let mut pieces = self.0.into_inner().unwrap_or_else(PoisonError::into_inner);
+        pieces.sort_unstable_by_key(|(i, _)| *i);
+        pieces.into_iter().map(|(_, r)| r)
+    }
+}
 
 /// Chunk size for `n` items over `workers` workers: four claims per worker
 /// for load balancing, never below 1.
@@ -47,121 +273,40 @@ where
     }
     let chunk = chunk_size(n, workers);
     let telemetry = ls_obs::enabled();
-    // Capture the submitting thread's trace context before spawning: span
-    // parenting is per-thread, so without this hand-off any span opened on
-    // a pool worker would start a fresh, orphaned root.
-    let trace_ctx = ls_obs::TraceContext::current();
     let next = AtomicUsize::new(0);
-    let mut pieces: Vec<(usize, Vec<R>)> = std::thread::scope(|sc| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                sc.spawn(|| {
-                    let _guard = WorkerGuard::enter();
-                    let _trace = trace_ctx.as_ref().map(ls_obs::TraceContext::attach);
-                    let t0 = telemetry.then(Instant::now);
-                    let mut out: Vec<(usize, Vec<R>)> = Vec::new();
-                    let mut state: Option<S> = None;
-                    loop {
-                        let start = next.fetch_add(chunk, Ordering::Relaxed);
-                        if start >= n {
-                            break;
-                        }
-                        let end = (start + chunk).min(n);
-                        if telemetry {
-                            ls_obs::gauge("par.queue_depth").set(n.saturating_sub(end) as f64);
-                            ls_obs::counter("par.chunks").incr();
-                        }
-                        let st = state.get_or_insert_with(&init);
-                        let vals: Vec<R> = items[start..end]
-                            .iter()
-                            .enumerate()
-                            .map(|(off, t)| f(st, start + off, t))
-                            .collect();
-                        out.push((start, vals));
-                    }
-                    if let Some(t0) = t0 {
-                        ls_obs::histogram("par.worker.busy").record(t0.elapsed().as_secs_f64());
-                    }
-                    out
-                })
-            })
-            .collect();
-        if telemetry {
-            ls_obs::counter("par.pool.spawns").add(workers as u64);
-            ls_obs::gauge("par.pool.size").set(workers as f64);
+    let pieces = Gather::new();
+    let share = |_| {
+        let mut out = Vec::new();
+        let mut state: Option<S> = None;
+        loop {
+            let start = next.fetch_add(chunk, Ordering::Relaxed);
+            if start >= n {
+                break;
+            }
+            let end = (start + chunk).min(n);
+            if telemetry {
+                ls_obs::gauge("par.queue_depth").set(n.saturating_sub(end) as f64);
+                ls_obs::counter("par.chunks").incr();
+            }
+            let st = state.get_or_insert_with(&init);
+            let vals: Vec<R> = items[start..end]
+                .iter()
+                .enumerate()
+                .map(|(off, t)| f(st, start + off, t))
+                .collect();
+            out.push((start, vals));
         }
-        handles
-            .into_iter()
-            .flat_map(|h| match h.join() {
-                Ok(v) => v,
-                Err(p) => std::panic::resume_unwind(p),
-            })
-            .collect()
-    });
+        pieces.extend(out);
+    };
+    run(workers, || share(0), &share);
     if telemetry {
         ls_obs::counter("par.tasks").add(n as u64);
     }
-    pieces.sort_unstable_by_key(|(start, _)| *start);
     let mut out = Vec::with_capacity(n);
-    for (_, vals) in pieces {
+    for vals in pieces.into_sorted() {
         out.extend(vals);
     }
     out
-}
-
-/// Run `jobs` indexed jobs across the pool and collect their results in
-/// index order. Jobs are claimed whole (chunk size 1), so this is the right
-/// shape for a few coarse tasks; use [`par_map`] for many fine items.
-pub fn scope<R, F>(jobs: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let idx: Vec<usize> = (0..jobs).collect();
-    let workers = effective_threads(jobs);
-    if workers <= 1 || jobs <= 1 {
-        return idx.into_iter().map(f).collect();
-    }
-    let telemetry = ls_obs::enabled();
-    let trace_ctx = ls_obs::TraceContext::current();
-    let next = AtomicUsize::new(0);
-    let mut pieces: Vec<(usize, R)> = std::thread::scope(|sc| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                sc.spawn(|| {
-                    let _guard = WorkerGuard::enter();
-                    let _trace = trace_ctx.as_ref().map(ls_obs::TraceContext::attach);
-                    let mut out = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= jobs {
-                            break;
-                        }
-                        if telemetry {
-                            ls_obs::gauge("par.queue_depth").set(jobs.saturating_sub(i + 1) as f64);
-                        }
-                        out.push((i, f(i)));
-                    }
-                    out
-                })
-            })
-            .collect();
-        if telemetry {
-            ls_obs::counter("par.pool.spawns").add(workers as u64);
-        }
-        handles
-            .into_iter()
-            .flat_map(|h| match h.join() {
-                Ok(v) => v,
-                Err(p) => std::panic::resume_unwind(p),
-            })
-            .collect()
-    });
-    if telemetry {
-        ls_obs::counter("par.tasks").add(jobs as u64);
-    }
-    pieces.sort_unstable_by_key(|(i, _)| *i);
-    pieces.into_iter().map(|(_, r)| r).collect()
 }
 
 /// Split `data` into contiguous chunks of `chunk_len` elements and process
@@ -187,44 +332,154 @@ where
             .map(|(i, c)| f(i, c))
             .collect();
     }
-    let telemetry = ls_obs::enabled();
-    let trace_ctx = ls_obs::TraceContext::current();
-    // Deal chunks round-robin: worker w gets chunks w, w+workers, …
-    let mut per_worker: Vec<Vec<(usize, &mut [T])>> = (0..workers).map(|_| Vec::new()).collect();
+    // Deal chunks round-robin: share w gets chunks w, w+workers, …
+    let mut per_share: Vec<Vec<(usize, &mut [T])>> = (0..workers).map(|_| Vec::new()).collect();
     for (i, c) in data.chunks_mut(chunk_len).enumerate() {
-        per_worker[i % workers].push((i, c));
+        per_share[i % workers].push((i, c));
     }
-    let f = &f;
-    let trace_ctx = &trace_ctx;
-    let mut pieces: Vec<(usize, R)> = std::thread::scope(|sc| {
-        let handles: Vec<_> = per_worker
-            .into_iter()
-            .map(|mine| {
-                sc.spawn(move || {
-                    let _guard = WorkerGuard::enter();
-                    let _trace = trace_ctx.as_ref().map(ls_obs::TraceContext::attach);
-                    mine.into_iter()
-                        .map(|(i, c)| (i, f(i, c)))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        if telemetry {
-            ls_obs::counter("par.pool.spawns").add(workers as u64);
-        }
-        handles
-            .into_iter()
-            .flat_map(|h| match h.join() {
-                Ok(v) => v,
-                Err(p) => std::panic::resume_unwind(p),
-            })
-            .collect()
-    });
-    if telemetry {
+    let per_share: Vec<_> = per_share.into_iter().map(Mutex::new).collect();
+    let pieces = Gather::new();
+    let share = |s: usize| {
+        // Each share is worked once, so its lock is never contended.
+        let mine =
+            std::mem::take(&mut *per_share[s].lock().unwrap_or_else(PoisonError::into_inner));
+        pieces.extend(mine.into_iter().map(|(i, c)| (i, f(i, c))).collect());
+    };
+    run(workers, || share(0), &share);
+    if ls_obs::enabled() {
         ls_obs::counter("par.tasks").add(n_chunks as u64);
     }
-    pieces.sort_unstable_by_key(|(i, _)| *i);
-    pieces.into_iter().map(|(_, r)| r).collect()
+    pieces.into_sorted().collect()
+}
+
+/// The hand-off between a stream's producer and its consumers.
+struct Queue<T> {
+    state: Mutex<QueueState<T>>,
+    ready: Condvar,
+}
+
+struct QueueState<T> {
+    items: VecDeque<(usize, T)>,
+    emitted: usize,
+    /// The producer has returned: consumers leave once `items` is empty.
+    closed: bool,
+    /// A share panicked: consumers leave now and later items are dropped.
+    abandoned: bool,
+}
+
+impl<T> Queue<T> {
+    fn lock(&self) -> MutexGuard<'_, QueueState<T>> {
+        // Every update is one field write or one push or pop.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn push(&self, item: T) {
+        let mut st = self.lock();
+        if st.abandoned {
+            return;
+        }
+        let i = st.emitted;
+        st.emitted += 1;
+        st.items.push_back((i, item));
+        drop(st);
+        self.ready.notify_one();
+    }
+
+    /// The next item in emission order, waiting for the producer while the
+    /// queue is empty and open.
+    fn pop(&self) -> Option<(usize, T)> {
+        let mut st = self.lock();
+        loop {
+            if st.abandoned {
+                return None;
+            }
+            if let Some(item) = st.items.pop_front() {
+                return Some(item);
+            }
+            if st.closed {
+                return None;
+            }
+            let t0 = ls_obs::enabled().then(Instant::now);
+            st = self.ready.wait(st).unwrap_or_else(PoisonError::into_inner);
+            if let Some(t0) = t0 {
+                PARKED.set(PARKED.get() + t0.elapsed().as_secs_f64());
+            }
+        }
+    }
+
+    /// Run `body`, and abandon the queue if it panics, so that no consumer
+    /// waits on a producer that is gone.
+    fn abandon_on_panic<X>(&self, body: impl FnOnce() -> X) -> X {
+        catch_unwind(AssertUnwindSafe(body)).unwrap_or_else(|p| {
+            self.shut(true);
+            resume_unwind(p)
+        })
+    }
+
+    /// Emit no more: consumers leave once the queue is empty, or at once
+    /// when `abandon`, dropping what is left.
+    fn shut(&self, abandon: bool) {
+        let mut st = self.lock();
+        st.closed = true;
+        st.abandoned |= abandon;
+        drop(st);
+        self.ready.notify_all();
+    }
+}
+
+/// Run `produce` on the calling thread and feed every item it emits to
+/// `consume` on the pool as soon as it is emitted; return the results in
+/// emission order. `consume(i, item)` receives the item's emission index
+/// `i` and must be a pure function of its arguments — the output is then
+/// identical at every thread count.
+///
+/// The caller produces while the helpers consume; once `produce` returns,
+/// the caller consumes what is left and joins the helpers. At one thread
+/// (or inside a pool worker) each item is consumed inline as it is
+/// emitted. A panic in the producer or a consumer releases every waiting
+/// consumer and is re-raised here once all of them stop.
+pub fn stream<T, R, P, C>(produce: P, consume: C) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    P: FnOnce(&mut dyn FnMut(T)),
+    C: Fn(usize, T) -> R + Sync,
+{
+    let workers = effective_threads(usize::MAX);
+    if workers <= 1 {
+        let mut out = Vec::new();
+        produce(&mut |item| out.push(consume(out.len(), item)));
+        return out;
+    }
+    let queue = Queue {
+        state: Mutex::new(QueueState {
+            items: VecDeque::new(),
+            emitted: 0,
+            closed: false,
+            abandoned: false,
+        }),
+        ready: Condvar::new(),
+    };
+    let results = Gather::new();
+    let consume_all = || {
+        let mut out = Vec::new();
+        while let Some((i, item)) = queue.pop() {
+            out.push((i, consume(i, item)));
+        }
+        results.extend(out);
+    };
+    let lead = || {
+        produce(&mut |item| queue.push(item));
+        queue.shut(false);
+        consume_all();
+    };
+    run(workers, || queue.abandon_on_panic(lead), &|_| {
+        queue.abandon_on_panic(consume_all)
+    });
+    if ls_obs::enabled() {
+        ls_obs::counter("par.tasks").add(queue.lock().emitted as u64);
+    }
+    results.into_sorted().collect()
 }
 
 #[cfg(test)]
@@ -273,14 +528,6 @@ mod tests {
         assert_eq!(out, (0..100u64).map(|x| x * 3).collect::<Vec<_>>());
         let n = inits.load(Ordering::SeqCst);
         assert!((1..=4).contains(&n), "init ran {n} times");
-    }
-
-    #[test]
-    fn scope_collects_in_index_order() {
-        for t in [1, 3, 8] {
-            let out = with_threads(t, || scope(17, |i| i * i));
-            assert_eq!(out, (0..17).map(|i| i * i).collect::<Vec<_>>());
-        }
     }
 
     #[test]
@@ -351,5 +598,81 @@ mod tests {
             })
         });
         assert!(r.is_err());
+        // The helpers that saw the panic serve the next call.
+        let out = with_threads(2, || par_map(&items, |_, &x| x + 1));
+        assert_eq!(out, (1..65).collect::<Vec<u32>>());
+    }
+
+    #[test]
+    fn stream_returns_results_in_emission_order() {
+        for t in [1, 2, 3] {
+            let out = with_threads(t, || {
+                stream(
+                    |emit| {
+                        for x in 0..40u64 {
+                            emit(x * 3);
+                        }
+                    },
+                    |i, x| {
+                        assert!(crate::in_worker() || t == 1);
+                        (i, x + 1)
+                    },
+                )
+            });
+            let want: Vec<(usize, u64)> = (0..40).map(|i| (i as usize, i * 3 + 1)).collect();
+            assert_eq!(out, want, "threads={t}");
+        }
+    }
+
+    #[test]
+    fn stream_of_an_empty_producer_is_empty() {
+        for t in [1, 2, 4] {
+            let out: Vec<u32> = with_threads(t, || stream(|_| {}, |_, x: u32| x));
+            assert!(out.is_empty());
+        }
+    }
+
+    #[test]
+    fn stream_producer_panic_propagates() {
+        for t in [1, 2, 4] {
+            let r = std::panic::catch_unwind(|| {
+                with_threads(t, || {
+                    stream(
+                        |emit| {
+                            for x in 0..10u32 {
+                                emit(x);
+                            }
+                            panic!("producer gave up");
+                        },
+                        |_, x| x,
+                    )
+                })
+            });
+            assert!(r.is_err(), "threads={t}");
+        }
+    }
+
+    #[test]
+    fn stream_consumer_panic_propagates() {
+        for t in [1, 2, 4] {
+            let r = std::panic::catch_unwind(|| {
+                with_threads(t, || {
+                    stream(
+                        |emit| {
+                            for x in 0..50u32 {
+                                emit(x);
+                            }
+                        },
+                        |_, x| {
+                            if x == 7 {
+                                panic!("bad item");
+                            }
+                            x
+                        },
+                    )
+                })
+            });
+            assert!(r.is_err(), "threads={t}");
+        }
     }
 }

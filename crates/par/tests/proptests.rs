@@ -1,8 +1,9 @@
 //! Property tests for the deterministic runtime: `par_reduce` against the
 //! serial fold for associative operations, order preservation of
-//! `par_map`, and thread-count invariance of floating-point reductions.
+//! `par_map` and `stream`, and thread-count invariance of floating-point
+//! reductions.
 
-use ls_par::{par_map, par_reduce, tree_reduce, with_threads};
+use ls_par::{par_map, par_reduce, stream, tree_reduce, with_threads};
 use proptest::prelude::*;
 
 proptest! {
@@ -80,6 +81,37 @@ proptest! {
         match out {
             None => prop_assert_eq!(n, 0),
             Some(v) => prop_assert_eq!(v, (0..n).collect::<Vec<_>>()),
+        }
+    }
+
+    /// `stream` returns every item's result in emission order, the same at
+    /// one, two and four threads, whatever each item costs to consume.
+    #[test]
+    fn stream_results_are_in_emission_order_at_any_width(
+        v in proptest::collection::vec(0u32..2_000, 0..64),
+    ) {
+        let run = |t: usize| {
+            with_threads(t, || {
+                stream(
+                    |emit| v.iter().for_each(|&x| emit(x)),
+                    |i, x| {
+                        // Uneven cost: x rounds of a hash chain.
+                        let h = (0..x).fold(u64::from(x), |h, r| {
+                            (h ^ u64::from(r)).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                        });
+                        (i, x, h)
+                    },
+                )
+            })
+        };
+        let serial = run(1);
+        prop_assert_eq!(serial.len(), v.len());
+        for (i, (&(idx, x, _), &want)) in serial.iter().zip(&v).enumerate() {
+            prop_assert_eq!(idx, i);
+            prop_assert_eq!(x, want);
+        }
+        for t in [2, 4] {
+            prop_assert_eq!(run(t), serial.clone());
         }
     }
 }
