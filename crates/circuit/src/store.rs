@@ -70,9 +70,10 @@ impl CircuitEntry {
     }
 }
 
-/// Monotonic store statistics (process-local; mirrored to `circuit.*` obs
-/// counters). `disk_hits + mem_hits` over total lookups is the warm hit
-/// rate CI asserts on.
+/// Monotonic store statistics (process-local; the lookup counts are
+/// mirrored to `circuit.store.*` obs counters while telemetry is on).
+/// `disk_hits + mem_hits` over total lookups is the warm hit rate CI
+/// asserts on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StoreStats {
     /// Lookups answered from the in-process LRU.
@@ -112,6 +113,17 @@ impl std::fmt::Debug for CircuitStore {
             .field("capacity", &self.capacity)
             .field("stats", &self.stats())
             .finish()
+    }
+}
+
+/// Count one lookup outcome: always in `stat`, which
+/// [`CircuitStore::stats`] reports (the offline rebuild check reads it), and
+/// in the `ls_obs` counter `name` only while telemetry is on, so a traced
+/// run's counter covers its traced windows alone.
+fn count_lookup(stat: &AtomicU64, name: &'static str) {
+    stat.fetch_add(1, Ordering::Relaxed);
+    if ls_obs::enabled() {
+        ls_obs::counter(name).incr();
     }
 }
 
@@ -175,14 +187,12 @@ impl CircuitStore {
     /// it.
     pub fn get_or_compile_shape(&self, shape: &CanonicalShape) -> Arc<CircuitEntry> {
         if let Some(entry) = self.probe_memory(shape.key) {
-            self.mem_hits.fetch_add(1, Ordering::Relaxed);
-            ls_obs::counter("circuit.store.mem_hits").incr();
+            count_lookup(&self.mem_hits, "circuit.store.mem_hits");
             return entry;
         }
         match self.load(shape) {
             Ok(Some(entry)) => {
-                self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                ls_obs::counter("circuit.store.disk_hits").incr();
+                count_lookup(&self.disk_hits, "circuit.store.disk_hits");
                 let entry = Arc::new(entry);
                 self.insert(Arc::clone(&entry));
                 return entry;
@@ -196,8 +206,7 @@ impl CircuitStore {
                 StoreError::ShapeMismatch => "circuit.store.load_errors.shape",
             }),
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        ls_obs::counter("circuit.store.misses").incr();
+        count_lookup(&self.misses, "circuit.store.misses");
         self.compile_resident(shape)
     }
 

@@ -385,3 +385,39 @@ fn a_new_shape_is_written_once_by_put_scores() {
     assert_eq!(entry.scores().unwrap(), &scores[..], "first writer wins");
     let _ = fs::remove_dir_all(&dir);
 }
+
+/// With telemetry off, lookups count in `stats()` only: the
+/// `circuit.store.*` obs counters stay put, so a traced run's counters
+/// cover its traced windows alone. The obs level is process-global, and
+/// nothing in this test binary turns telemetry on.
+#[test]
+fn lookups_reach_obs_counters_only_while_telemetry_is_on() {
+    ls_obs::set_level(ls_obs::Level::Off);
+    assert!(!ls_obs::enabled(), "run without LS_OBS_JSONL");
+    let counters = || {
+        [
+            "circuit.store.misses",
+            "circuit.store.mem_hits",
+            "circuit.store.disk_hits",
+        ]
+        .map(|name| ls_obs::counter(name).get())
+    };
+    let before = counters();
+    let dir = temp_dir("obs_gate");
+    let shape = CanonicalShape::of(&wide_dnf());
+    let cold = CircuitStore::open(&dir, 8).unwrap();
+    scored(&cold, &shape);
+    cold.get_or_compile_shape(&shape);
+    let warm = CircuitStore::open(&dir, 8).unwrap();
+    warm.get_or_compile_shape(&shape);
+    assert_eq!(
+        (
+            cold.stats().misses,
+            cold.stats().mem_hits,
+            warm.stats().disk_hits
+        ),
+        (1, 1, 1)
+    );
+    assert_eq!(counters(), before, "obs counters moved with telemetry off");
+    let _ = fs::remove_dir_all(&dir);
+}

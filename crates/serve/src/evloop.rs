@@ -2,9 +2,15 @@
 //!
 //! Each shard is one thread owning a [`Poller`] and a slab of nonblocking
 //! connections. The blocking acceptor round-robins new sockets to shards
-//! through a [`Mailbox`]; decoded rank requests leave the shard through
-//! [`ServeHandle::rank_async`] and come back as encoded response bytes via
-//! the same mailbox, so the shard thread never blocks on scoring — it only
+//! through a [`Mailbox`]. A decoded rank request goes to the serving engine
+//! without blocking the shard: an answer that is ready at once — a cache
+//! hit, an admission or validation error, a tiered answer, a job that
+//! finished before its callback was registered — is encoded and appended
+//! to the connection's write buffer, while a queued job's answer is encoded
+//! on the pipeline thread that finishes it and comes back through the
+//! mailbox.
+//! The mailbox thus carries only cross-thread traffic: new sockets and
+//! worker completions. The shard thread never blocks on scoring — it only
 //! parses frames, runs the per-connection state machines, and moves bytes.
 //!
 //! ## Connection state machine
@@ -15,12 +21,19 @@
 //!      └──▶ torn
 //! ```
 //!
-//! Partial frames resume across wakeups (`inbuf` + consumed offset);
-//! responses drain opportunistically after every event and under
-//! `EPOLLOUT`-style write readiness otherwise. When a connection buffers
-//! more than `high_water` unsent bytes its read interest is dropped —
-//! write backpressure propagates to the peer's TCP window instead of
-//! growing the heap — and reading resumes below `low_water`.
+//! Partial frames resume across wakeups (`inbuf` + consumed offset).
+//!
+//! ## Write path
+//!
+//! A connection is written once per readiness event: every answer that the
+//! event's frames produced sits in `outbuf`, and one flush at the end of the
+//! event sends them together, so a pipelined burst of k cache hits read in
+//! one pass leaves in one `write(2)`, not k. A worker completion is flushed
+//! as the mailbox drain appends it. Bytes the socket does not take wait for
+//! `EPOLLOUT`-style write readiness. When a connection buffers
+//! more than `high_water` unsent bytes its read interest is dropped — write
+//! backpressure propagates to the peer's TCP window instead of growing the
+//! heap — and reading resumes below `low_water`.
 //!
 //! ## Failure containment (unchanged from the thread-per-connection era)
 //!
@@ -34,10 +47,9 @@
 
 use crate::poller::{drain_wake, Event, Interest, Poller, Waker};
 use crate::proto::{self, AdminCommand, Frame, BINARY_VERSION, HELLO_LEN, MAGIC};
-use crate::server::{ServeError, ServeHandle};
+use crate::server::{RankRequest, RankResponse, ServeError, ServeHandle};
 use crate::tcp::TcpOptions;
 use ls_fault::{lock_safe, FaultyRead, FaultyWrite, Injector};
-use std::cell::Cell;
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -56,13 +68,6 @@ const READ_BUDGET: usize = 256 * 1024;
 /// One read() granule.
 const READ_CHUNK: usize = 16 * 1024;
 
-thread_local! {
-    /// Which shard this thread *is* (usize::MAX elsewhere): lets a
-    /// completion callback that runs inline on the shard thread skip the
-    /// wakeup write — the loop drains its own mailbox every iteration.
-    static CURRENT_SHARD: Cell<usize> = const { Cell::new(usize::MAX) };
-}
-
 /// Work arriving at a shard from other threads.
 pub(crate) enum Inbound {
     /// A freshly accepted socket (nodelay already set by the acceptor).
@@ -77,17 +82,16 @@ pub(crate) enum Inbound {
     },
 }
 
-/// A shard's inbox plus the waker that unblocks its poller.
+/// A shard's inbox plus the waker that unblocks its poller. Only other
+/// threads push: the shard answers its own inline work in place.
 pub(crate) struct Mailbox {
-    shard: usize,
     q: Mutex<VecDeque<Inbound>>,
     waker: Waker,
 }
 
 impl Mailbox {
-    pub(crate) fn new(shard: usize, waker: Waker) -> Mailbox {
+    pub(crate) fn new(waker: Waker) -> Mailbox {
         Mailbox {
-            shard,
             q: Mutex::new(VecDeque::new()),
             waker,
         }
@@ -95,11 +99,7 @@ impl Mailbox {
 
     pub(crate) fn push(&self, msg: Inbound) {
         lock_safe(&self.q).push_back(msg);
-        // Cross-thread senders must interrupt the poller; the shard's own
-        // thread drains the queue at the end of the running iteration.
-        if CURRENT_SHARD.with(Cell::get) != self.shard {
-            self.waker.wake();
-        }
+        self.waker.wake();
     }
 
     pub(crate) fn wake(&self) {
@@ -152,7 +152,7 @@ struct Conn {
     outbuf: Vec<u8>,
     /// Bytes of `outbuf` already written to the socket.
     out_off: usize,
-    /// rank_async calls dispatched but not yet answered to the wire.
+    /// Queued rank jobs whose answers will come back through the mailbox.
     pending: u32,
     read_closed: bool,
     /// Backpressured: read interest dropped until the outbuf drains.
@@ -179,6 +179,8 @@ struct ShardCtx {
     mailbox: Arc<Mailbox>,
     high_water: usize,
     low_water: usize,
+    /// `serve.tcp.frames`, interned once rather than looked up per frame.
+    frames: &'static ls_obs::Counter,
 }
 
 /// Everything a completion callback needs to route encoded bytes back to
@@ -206,7 +208,6 @@ pub(crate) fn shard_loop(
     stop: Arc<AtomicBool>,
     opts: TcpOptions,
 ) {
-    CURRENT_SHARD.with(|c| c.set(shard));
     let backend = opts.backend.unwrap_or_else(Poller::default_backend);
     let Ok(mut poller) = Poller::with_backend(backend) else {
         return;
@@ -229,6 +230,7 @@ pub(crate) fn shard_loop(
         mailbox: mailbox.clone(),
         high_water: opts.high_water,
         low_water: opts.low_water,
+        frames: ls_obs::counter("serve.tcp.frames"),
     };
     let mut conns: Vec<Option<Conn>> = Vec::new();
     let mut gens: Vec<u32> = Vec::new();
@@ -265,65 +267,30 @@ pub(crate) fn shard_loop(
                 registered_gauge,
             );
         }
-        // Drain the mailbox: new connections and finished rank responses.
-        // Same-thread pushes skip the wakeup write, so anything enqueued
-        // while we process a batch — e.g. an inline tiered answer produced
-        // by the synthetic readable pass below — must be picked up by
-        // re-taking the queue until it is empty, or it would sit unserved
-        // behind a blocked poller.
-        loop {
-            let mut inbox = {
-                let mut q = lock_safe(&ctx.mailbox.q);
-                std::mem::take(&mut *q)
-            };
-            if inbox.is_empty() {
-                break;
-            }
+        // Drain the mailbox once: new connections and worker completions.
+        // Every sender is another thread and wakes the poller, so anything
+        // pushed after this take is seen on the next pass.
+        let inbox = std::mem::take(&mut *lock_safe(&ctx.mailbox.q));
+        if !inbox.is_empty() {
             accept_gauge.set(inbox.len() as f64);
-            for msg in inbox.drain(..) {
-                match msg {
-                    Inbound::Conn(stream) => {
-                        if let Some(slot) = install_conn(
-                            stream,
-                            &ctx,
-                            &mut conns,
-                            &mut free,
-                            &mut gens,
-                            &mut poller,
-                        ) {
-                            registered_gauge.set(gens.len() as f64 - free.len() as f64);
-                            // The peer may already have sent bytes before we
-                            // registered: process them now rather than waiting
-                            // for the next readiness edge.
-                            let conn = conns[slot].as_mut().expect("just installed");
-                            let ev = Event {
-                                token: slot as u64,
-                                readable: true,
-                                writable: false,
-                            };
-                            let verdict = handle_event(conn, ev, &ctx, slot);
-                            settle(
-                                verdict,
-                                slot,
-                                &mut conns,
-                                &mut free,
-                                &mut gens,
-                                &mut poller,
-                                registered_gauge,
-                            );
-                        }
-                    }
-                    Inbound::Done { token, gen, bytes } => {
-                        let slot = token as usize;
-                        let Some(conn) = conns.get_mut(slot).and_then(Option::as_mut) else {
-                            continue; // connection closed while the job ran
+        }
+        for msg in inbox {
+            match msg {
+                Inbound::Conn(stream) => {
+                    if let Some(slot) =
+                        install_conn(stream, &ctx, &mut conns, &mut free, &mut gens, &mut poller)
+                    {
+                        registered_gauge.set(gens.len() as f64 - free.len() as f64);
+                        // The peer may already have sent bytes before we
+                        // registered: process them now rather than waiting
+                        // for the next readiness edge.
+                        let conn = conns[slot].as_mut().expect("just installed");
+                        let ev = Event {
+                            token: slot as u64,
+                            readable: true,
+                            writable: false,
                         };
-                        if conn.gen != gen {
-                            continue; // slot reused: response belongs to a ghost
-                        }
-                        conn.pending -= 1;
-                        conn.outbuf.extend_from_slice(&bytes);
-                        let verdict = after_io(conn, &ctx);
+                        let verdict = handle_event(conn, ev, &ctx, slot);
                         settle(
                             verdict,
                             slot,
@@ -334,6 +301,27 @@ pub(crate) fn shard_loop(
                             registered_gauge,
                         );
                     }
+                }
+                Inbound::Done { token, gen, bytes } => {
+                    let slot = token as usize;
+                    let Some(conn) = conns.get_mut(slot).and_then(Option::as_mut) else {
+                        continue; // connection closed while the job ran
+                    };
+                    if conn.gen != gen {
+                        continue; // slot reused: response belongs to a ghost
+                    }
+                    conn.pending -= 1;
+                    conn.outbuf.extend_from_slice(&bytes);
+                    let verdict = after_io(conn, &ctx);
+                    settle(
+                        verdict,
+                        slot,
+                        &mut conns,
+                        &mut free,
+                        &mut gens,
+                        &mut poller,
+                        registered_gauge,
+                    );
                 }
             }
         }
@@ -443,13 +431,12 @@ fn settle(
     }
 }
 
-/// React to one readiness event on a live connection.
+/// React to one readiness event on a live connection: read and dispatch
+/// what arrived, then flush everything buffered — the answers this event
+/// produced and any backlog the socket can now take — in one pass.
 fn handle_event(conn: &mut Conn, ev: Event, ctx: &ShardCtx, slot: usize) -> Result<(), Close> {
     if ev.readable && !conn.read_closed && !conn.paused {
         on_readable(conn, ctx, slot)?;
-    }
-    if ev.writable && conn.buffered() > 0 {
-        flush_some(conn)?;
     }
     after_io(conn, ctx)
 }
@@ -511,7 +498,7 @@ fn process_frames(conn: &mut Conn, ctx: &ShardCtx, slot: usize) -> Result<(), Cl
         }
         let start = conn.in_off + 4;
         conn.in_off = start + len;
-        ls_obs::counter("serve.tcp.frames").incr();
+        ctx.frames.incr();
         dispatch_frame(conn, start..start + len, ctx, slot);
     }
     // Compact consumed bytes once they dominate the buffer (cheap amortized
@@ -549,20 +536,14 @@ fn greet(conn: &mut Conn) -> Result<bool, Close> {
 }
 
 /// Decode and act on one frame whose payload sits at `range` in `inbuf`.
+/// Every answer ready now is appended to `outbuf`.
 fn dispatch_frame(conn: &mut Conn, range: Range<usize>, ctx: &ShardCtx, slot: usize) {
-    // Split borrows: the payload lives in inbuf, replies go to outbuf.
-    let Conn {
-        inbuf,
-        outbuf,
-        pending,
-        gen,
-        ..
-    } = conn;
-    match proto::decode_binary_frame(&inbuf[range]) {
-        Ok(Frame::Rank(id, req, trace)) => submit_rank(ctx, slot, *gen, pending, id, req, trace),
+    match proto::decode_binary_frame(&conn.inbuf[range]) {
+        Ok(Frame::Rank(id, req, trace)) => submit_rank(conn, ctx, slot, id, req, trace),
         Ok(Frame::Admin(id, cmd)) => {
             let data = admin_payload(&ctx.handle, cmd);
-            outbuf.extend_from_slice(&proto::encode_binary_admin_response(id, &data));
+            conn.outbuf
+                .extend_from_slice(&proto::encode_binary_admin_response(id, &data));
         }
         Ok(Frame::Feedback(id, rec)) => {
             // Answered inline once the record is crash-durable in the WAL.
@@ -570,63 +551,80 @@ fn dispatch_frame(conn: &mut Conn, range: Range<usize>, ctx: &ShardCtx, slot: us
             // promise durability, and the append-latency histogram
             // (`serve.feedback.append`) keeps the cost honest.
             let result = ctx.handle.feedback(&rec);
-            outbuf.extend_from_slice(&proto::encode_binary_feedback_response(id, &result));
+            conn.outbuf
+                .extend_from_slice(&proto::encode_binary_feedback_response(id, &result));
         }
         Err(fe) => {
             // Garbage inside a well-formed frame: the framing layer is still
             // in sync, so answer typed under id 0 and keep the connection.
             ls_obs::counter("serve.tcp.bad_frames").incr();
             let err = ServeError::BadRequest(fe.to_string());
-            outbuf.extend_from_slice(&proto::encode_binary_response(0, &Err(err)));
+            conn.outbuf
+                .extend_from_slice(&proto::encode_binary_response(0, &Err(err)));
         }
     }
 }
 
-/// Hand a rank request to the worker pool without blocking the shard.
+/// Hand a rank request to the serving engine without blocking the shard.
+/// An answer ready now is encoded and appended to `outbuf`; a queued job's
+/// answer comes back through the mailbox.
 fn submit_rank(
+    conn: &mut Conn,
     ctx: &ShardCtx,
     slot: usize,
-    gen: u32,
-    pending: &mut u32,
     id: u64,
-    req: crate::server::RankRequest,
+    req: RankRequest,
     trace: Option<ls_obs::TraceContext>,
 ) {
     // Adopt the client's wire trace for the submission path so admission
     // spans and stage samples stitch into the client's trace.
     let _wire = trace.as_ref().map(ls_obs::TraceContext::attach);
     let _span = ls_obs::enabled().then(|| ls_obs::span("serve.tcp.request"));
-    *pending += 1;
-    let completion = Completion {
-        mailbox: ctx.mailbox.clone(),
-        token: slot as u64,
-        gen,
-        id,
-        trace_id: trace.as_ref().map_or(0, |c| c.trace_id),
-    };
-    ctx.handle
-        .rank_async(req, move |result| deliver(completion, result));
+    let trace_id = trace.as_ref().map_or(0, |c| c.trace_id);
+    let gen = conn.gen;
+    let now = ctx.handle.rank_or_notify(req, || {
+        let c = Completion {
+            mailbox: ctx.mailbox.clone(),
+            token: slot as u64,
+            gen,
+            id,
+            trace_id,
+        };
+        Box::new(move |result| deliver(c, result))
+    });
+    match now {
+        Some(result) => conn
+            .outbuf
+            .extend_from_slice(&encode_answer(id, &result, trace_id)),
+        None => conn.pending += 1,
+    }
 }
 
-/// Completion callback: encode on whichever thread finished the job, then
-/// route the bytes to the owning shard. Runs inline on the shard thread for
-/// cache hits and admission rejections, on a worker thread otherwise.
-fn deliver(c: Completion, result: Result<crate::server::RankResponse, ServeError>) {
+/// Completion callback of a queued job: encode on the pipeline thread that
+/// finished it, then route the bytes to the owning shard.
+fn deliver(c: Completion, result: Result<RankResponse, ServeError>) {
+    let bytes = encode_answer(c.id, &result, c.trace_id);
+    c.mailbox.push(Inbound::Done {
+        token: c.token,
+        gen: c.gen,
+        bytes,
+    });
+}
+
+/// Encode one rank answer's frame, timed into `serve.stage.serialize` while
+/// telemetry is on.
+fn encode_answer(id: u64, result: &Result<RankResponse, ServeError>, trace_id: u64) -> Vec<u8> {
     let t0 = ls_obs::enabled().then(Instant::now);
-    let bytes = proto::encode_binary_response(c.id, &result);
+    let bytes = proto::encode_binary_response(id, result);
     if let Some(t0) = t0 {
         // The serialize stage runs after the response object exists, so it
         // lands in the histogram only — the breakdown inside the frame
         // cannot include it.
         crate::server::stage_hists()
             .serialize
-            .record_traced(t0.elapsed().as_secs_f64(), c.trace_id);
+            .record_traced(t0.elapsed().as_secs_f64(), trace_id);
     }
-    c.mailbox.push(Inbound::Done {
-        token: c.token,
-        gen: c.gen,
-        bytes,
-    });
+    bytes
 }
 
 /// Answer one admin query from live server state.
@@ -648,6 +646,9 @@ fn after_io(conn: &mut Conn, ctx: &ShardCtx) -> Result<(), Close> {
     }
     let buffered = conn.buffered();
     if buffered > ctx.high_water {
+        if !conn.paused {
+            ls_obs::counter("serve.tcp.paused").incr();
+        }
         conn.paused = true;
     } else if conn.paused && buffered <= ctx.low_water {
         conn.paused = false;

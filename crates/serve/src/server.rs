@@ -330,15 +330,15 @@ struct Job {
     done: Condvar,
 }
 
+/// The async completion callback a [`ResultSlot`] may hold.
+pub(crate) type RankNotify = Box<dyn FnOnce(Result<RankResponse, ServeError>) + Send>;
+
 /// Delivery state for one job: either a blocking waiter will collect
 /// `value`, or an async `notify` callback consumes the result directly.
 /// Both live under one mutex so registration cannot race completion — a
-/// callback registered after the result landed fires immediately, and a
-/// result landing after registration takes the callback; exactly one party
-/// ever sees the response.
-/// The async completion callback a [`ResultSlot`] may hold.
-type RankNotify = Box<dyn FnOnce(Result<RankResponse, ServeError>) + Send>;
-
+/// result that landed before registration is handed back to the registering
+/// caller instead, and a result landing after registration takes the
+/// callback; exactly one party ever sees the response.
 #[derive(Default)]
 struct ResultSlot {
     value: Option<Result<RankResponse, ServeError>>,
@@ -529,24 +529,48 @@ impl ServeHandle {
     /// admission rejections, empty lineages, tiered answers) call it
     /// synchronously on this thread; queued work calls it later from
     /// whichever pipeline thread completes the job. The TCP event-loop
-    /// shards depend on this — one shard thread keeps thousands of
-    /// connections moving while scoring happens on the worker pool.
+    /// shards use the crate-private `rank_or_notify` beneath it, which
+    /// returns an inline outcome instead of calling back.
     pub fn rank_async(
         &self,
         req: RankRequest,
         done: impl FnOnce(Result<RankResponse, ServeError>) + Send + 'static,
     ) {
+        let mut done = Some(done);
+        let now = self.rank_or_notify(req, || {
+            Box::new(
+                done.take()
+                    .expect("the callback is registered at most once"),
+            )
+        });
+        if let Some(result) = now {
+            let done = done.expect("an answer given now registers no callback");
+            done(result);
+        }
+    }
+
+    /// Admit `req` and return its answer when one is ready now: a cache hit,
+    /// an admission or validation error, an empty lineage, a tiered answer,
+    /// or a queued job that finished before its callback was registered.
+    /// Otherwise register `notify()` on the queued job — the pipeline thread
+    /// that completes it calls the callback — and return `None`. The
+    /// callback is built only when it is registered, so an answer given now
+    /// costs no allocation for it.
+    pub(crate) fn rank_or_notify(
+        &self,
+        req: RankRequest,
+        notify: impl FnOnce() -> RankNotify,
+    ) -> Option<Result<RankResponse, ServeError>> {
         match self.submit(req) {
-            Ok(Admitted::Done(resp)) => done(Ok(resp)),
-            Err(e) => done(Err(e)),
+            Ok(Admitted::Done(resp)) => Some(Ok(resp)),
+            Err(e) => Some(Err(e)),
             Ok(Admitted::Queued(job)) => {
                 let mut slot = lock_safe(&job.result);
-                if let Some(r) = slot.value.take() {
-                    // Completed between submit and registration: deliver now.
-                    drop(slot);
-                    done(r);
+                if slot.value.is_some() {
+                    slot.value.take()
                 } else {
-                    slot.notify = Some(Box::new(done));
+                    slot.notify = Some(notify());
+                    None
                 }
             }
         }
@@ -554,7 +578,13 @@ impl ServeHandle {
 
     /// Admission control: probe the cache, enforce the queue bound, enqueue.
     fn submit(&self, req: RankRequest) -> Result<Admitted, ServeError> {
-        ls_obs::counter("serve.requests").incr();
+        // Interned once: a name lookup takes the registry mutex, which the
+        // warm cache-hit path cannot afford per request (see `StageHists`).
+        static REQUESTS: OnceLock<&'static ls_obs::Counter> = OnceLock::new();
+        static CACHE_HIT: OnceLock<&'static ls_obs::Counter> = OnceLock::new();
+        REQUESTS
+            .get_or_init(|| ls_obs::counter("serve.requests"))
+            .incr();
         if req.query_sql.is_empty() {
             return Err(ServeError::BadRequest("empty query".into()));
         }
@@ -605,7 +635,9 @@ impl ServeHandle {
                     ..StageBreakdown::default()
                 }
             });
-            ls_obs::counter("serve.cache_hit").incr();
+            CACHE_HIT
+                .get_or_init(|| ls_obs::counter("serve.cache_hit"))
+                .incr();
             return Ok(Admitted::Done(resp));
         }
         ls_obs::counter("serve.cache_miss").incr();
@@ -1077,18 +1109,19 @@ fn spawn_worker(shared: &Arc<Shared>, idx: usize) {
         .name(format!("ls-serve-worker-{idx}"))
         .spawn(move || {
             let guard = RespawnGuard {
-                shared: shared_for_thread.clone(),
+                shared: shared_for_thread,
                 idx,
             };
-            worker_loop(&shared_for_thread);
-            std::mem::forget(guard); // normal exit: no respawn
+            worker_loop(&guard.shared);
         })
         .expect("spawn worker");
     lock_safe(&shared.workers).push(handle);
 }
 
 /// Replaces a worker thread that died by panic. `Drop` runs during unwind,
-/// so the pool heals without any supervisor thread.
+/// so the pool heals without any supervisor thread; on a normal exit the
+/// guard just releases the thread's share of the server state, so a shut
+/// down server frees its model, cache and circuit store.
 struct RespawnGuard {
     shared: Arc<Shared>,
     idx: usize,
@@ -1096,6 +1129,9 @@ struct RespawnGuard {
 
 impl Drop for RespawnGuard {
     fn drop(&mut self) {
+        if !std::thread::panicking() {
+            return;
+        }
         ls_obs::counter("serve.worker_respawn").incr();
         let draining = lock_safe(&self.shared.state).shutdown;
         if !draining {

@@ -6,9 +6,10 @@
 //! nonblocking, and round-robins it to one of N event-loop **shards**
 //! (the private `evloop` module); each shard multiplexes thousands of
 //! connections over a [`crate::poller::Poller`] (epoll on Linux, poll(2)
-//! fallback) and hands decoded rank requests to the worker pool via
-//! [`ServeHandle::rank_async`] — connection count no longer costs a thread
-//! apiece, and a single process holds 10k+ concurrent connections.
+//! fallback), answers cache hits and other inline outcomes in place, and
+//! hands the rest of its decoded rank requests to the worker pool without
+//! blocking — connection count no longer costs a thread apiece, and a
+//! single process holds 10k+ concurrent connections.
 //!
 //! ## Failure containment
 //!
@@ -114,7 +115,7 @@ impl TcpServer {
         let mut mailboxes = Vec::new();
         for shard in 0..opts.shards.max(1) {
             let (waker, wake_rx) = wake_pair()?;
-            let mailbox = Arc::new(Mailbox::new(shard, waker));
+            let mailbox = Arc::new(Mailbox::new(waker));
             mailboxes.push(mailbox.clone());
             let handle = handle.clone();
             let injector = injector.clone();

@@ -6,12 +6,13 @@
 //! same snapshot. The rest pins the operational contract: overload rejects
 //! instead of blocking, deadlines shed, shutdown drains, TCP round-trips.
 
-use ls_core::{save_model, LearnShapleyModel, Tokenizer};
+use ls_circuit::CircuitStore;
+use ls_core::{save_model, LearnShapleyModel, OnlineConfig, OnlineTrainer, Tokenizer};
 use ls_nn::EncoderConfig;
 use ls_relational::{ColType, Database, FactId, OutputTuple, TableSchema, Value};
 use ls_serve::{
-    ModelBundle, RankRequest, RankResponse, ServeConfig, ServeError, Server, TcpRankClient,
-    TcpServer, Tier,
+    ModelBundle, OnlineOptions, RankRequest, RankResponse, ServeConfig, ServeError, Server,
+    TcpRankClient, TcpServer, Tier,
 };
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -310,6 +311,61 @@ fn shutdown_drains_admitted_work() {
     }
     // The server is gone; a fresh handle submission is refused.
     assert_eq!(handle.rank(reqs[0].clone()), Err(ServeError::ShuttingDown));
+}
+
+/// A shut-down server holds no share of its model bundle: once `shutdown`
+/// returns, the caller's handle is the only one left.
+#[test]
+fn shutdown_releases_the_bundle() {
+    let bundle = fixture_bundle();
+    let server = Server::start(bundle.clone(), ServeConfig::default());
+    server
+        .handle()
+        .rank(requests(&bundle)[0].clone())
+        .expect("rank");
+    server.shutdown();
+    assert_eq!(Arc::strong_count(&bundle), 1, "the server kept the bundle");
+}
+
+/// The same with every subsystem attached: a circuit store, the online
+/// engine, and a TCP front-end that served a request and was stopped.
+#[test]
+fn shutdown_with_store_online_and_tcp_releases_the_bundle() {
+    let bundle = fixture_bundle();
+    let dir = std::env::temp_dir().join(format!("ls-serve-release-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = Arc::new(CircuitStore::open(dir.join("circuits"), 8).expect("store"));
+    let server = Server::start_with_store(bundle.clone(), ServeConfig::default(), store);
+    let trainer = OnlineTrainer::new(
+        LearnShapleyModel::new(EncoderConfig::small_ablation(
+            bundle.tokenizer.vocab_size(),
+            MAX_LEN,
+        )),
+        bundle.tokenizer.clone(),
+        OnlineConfig {
+            batch: 4,
+            lr: 1e-3,
+            max_len: MAX_LEN,
+            seed: 1,
+        },
+    );
+    let online = OnlineOptions {
+        wal_dir: dir.join("wal"),
+        snapshot_dir: dir.join("snapshots"),
+        publish_every: 0,
+        poll: Duration::from_millis(5),
+    };
+    server
+        .enable_online(trainer, online)
+        .expect("enable online");
+    let tcp = TcpServer::start(server.handle(), "127.0.0.1:0").expect("bind");
+    let mut client = TcpRankClient::connect(tcp.local_addr()).expect("connect");
+    client.rank(&requests(&bundle)[0]).expect("tcp rank");
+    drop(client);
+    tcp.stop();
+    server.shutdown();
+    assert_eq!(Arc::strong_count(&bundle), 1, "the server kept the bundle");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Full TCP round-trip: the binary wire protocol preserves bit-identity.

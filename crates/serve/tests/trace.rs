@@ -181,6 +181,8 @@ fn client_trace_id_reaches_server_side_jsonl_over_tcp() {
 
 /// The stage breakdown is a partition of the server-side latency: the five
 /// stages sum exactly to `total_us`, in-process and after a wire round trip.
+/// Every answer the front-end encodes, queued or answered on the shard, is
+/// timed in `serve.stage.serialize`.
 #[test]
 fn stage_breakdown_partitions_total_latency() {
     let _guard = lock_env();
@@ -211,11 +213,26 @@ fn stage_breakdown_partitions_total_latency() {
 
     // Same invariant after encode/decode over a live TCP connection (the
     // client mints its own trace because the obs level is on).
+    let serialized = || ls_obs::histogram("serve.stage.serialize").stats().count;
+    let before = serialized();
     let tcp = TcpServer::start(server.handle(), "127.0.0.1:0").expect("bind");
     let mut client = TcpRankClient::connect(tcp.local_addr()).expect("connect");
-    for req in requests(&bundle) {
-        check(&client.rank(&req).expect("rank over tcp"));
+    let reqs = requests(&bundle);
+    for req in &reqs {
+        check(&client.rank(req).expect("rank over tcp"));
     }
+    // An empty lineage is answered at admission, on the shard thread.
+    let empty = RankRequest {
+        lineage: Vec::new(),
+        ..reqs[0].clone()
+    };
+    let inline = client.rank(&empty).expect("inline answer");
+    assert!(inline.scores.is_empty());
+    assert_eq!(
+        serialized() - before,
+        reqs.len() as u64 + 1,
+        "every encoded answer is timed, the inline one included"
+    );
     tcp.stop();
     server.shutdown();
     ls_obs::set_level(Level::Off);

@@ -1,7 +1,7 @@
 //! Wire-protocol tests: binary decoder robustness, the mandatory hello,
 //! and bit-identity over the wire.
 //!
-//! Three contracts are pinned here:
+//! Four contracts are pinned here:
 //!
 //! 1. **The binary decoder never panics.** Arbitrary byte soups and every
 //!    truncation of a valid frame must come back as a typed [`FrameError`],
@@ -13,6 +13,10 @@
 //! 3. **The wire is invisible in the answers.** Served responses are
 //!    bit-identical to the serial oracle on the epoll and poll backends,
 //!    with one shard or several, pipelined or not.
+//! 4. **Coalesced writes lose nothing.** Answers buffered together and
+//!    written once per readiness event all arrive — to a half-closed client
+//!    before its clean EOF, and to a client whose unread backlog pauses
+//!    reading past the backpressure watermarks — on both poller backends.
 
 use ls_core::{save_model, LearnShapleyModel, Tokenizer};
 use ls_fault::NoFaults;
@@ -23,8 +27,8 @@ use ls_serve::{
     Server, TcpOptions, TcpRankClient, TcpServer, Tier,
 };
 use proptest::prelude::*;
-use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::{BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -351,6 +355,24 @@ fn poll_backend_two_shards_round_trip() {
     server.shutdown();
 }
 
+/// Read one answer per entry of `expected`, in any order: the answer with
+/// id `base + i` must be bit-identical to `expected[i]`, and no id may come
+/// twice or fall outside the range.
+fn read_answers(reader: &mut impl Read, base: u64, expected: &[&RankResponse]) {
+    let mut seen = vec![false; expected.len()];
+    for _ in 0..expected.len() {
+        let payload = proto::read_frame(reader)
+            .expect("read")
+            .expect("eof before all answers");
+        let (id, result) = proto::decode_binary_response(&payload).expect("decode");
+        let i = id.checked_sub(base).expect("id below the burst") as usize;
+        assert!(i < expected.len(), "unknown answer id {id}");
+        assert!(!seen[i], "duplicate answer for id {id}");
+        seen[i] = true;
+        assert_bit_identical(&result.expect("rank ok"), expected[i]);
+    }
+}
+
 /// Pipelining: many requests written back-to-back on one raw binary
 /// connection, responses read afterward. Every response id must map to a
 /// request and carry that request's answer — no mixing, no reordering of
@@ -375,20 +397,8 @@ fn pipelined_binary_requests_never_mix() {
         let frame = proto::encode_binary_request(id, &reqs[i % reqs.len()], None);
         stream.write_all(&frame).expect("write");
     }
-    let mut reader = std::io::BufReader::new(stream);
-    let mut seen = vec![false; n];
-    for _ in 0..n {
-        let payload = proto::read_frame(&mut reader)
-            .expect("read")
-            .expect("eof before all responses");
-        let (id, result) = proto::decode_binary_response(&payload).expect("decode");
-        let i = (id - 10) as usize;
-        assert!(i < n, "unknown response id {id}");
-        assert!(!seen[i], "duplicate response for id {id}");
-        seen[i] = true;
-        assert_bit_identical(&result.expect("rank ok"), &serial[i % reqs.len()]);
-    }
-    assert!(seen.iter().all(|&s| s), "missing responses");
+    let expected: Vec<&RankResponse> = (0..n).map(|i| &serial[i % reqs.len()]).collect();
+    read_answers(&mut BufReader::new(stream), 10, &expected);
     tcp.stop();
     server.shutdown();
 }
@@ -436,5 +446,155 @@ fn binary_garbage_frame_gets_typed_reply_connection_survives() {
     assert_eq!(id, 42);
     assert_bit_identical(&result.expect("rank ok"), &serial);
     tcp.stop();
+    server.shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// 4. The coalesced write path: half-close and backpressure
+// ---------------------------------------------------------------------------
+
+fn backends() -> Vec<Backend> {
+    #[cfg(target_os = "linux")]
+    {
+        vec![Backend::Epoll, Backend::Poll]
+    }
+    #[cfg(not(target_os = "linux"))]
+    {
+        vec![Backend::Poll]
+    }
+}
+
+/// Open a raw binary connection (hello done) with a read timeout, so a
+/// server that stops answering fails the test instead of hanging it.
+fn raw_connection(addr: SocketAddr) -> TcpStream {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    proto::negotiate(&mut stream).expect("hello");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    stream
+}
+
+/// A client pipelines cache hits and one learned miss, then shuts its
+/// write half: it still reads every answer — the hits answered on the
+/// shard, the miss later from the worker pool — and then a clean EOF once
+/// nothing is in flight.
+#[test]
+fn half_closed_client_reads_every_answer_then_clean_eof() {
+    let bundle = fixture_bundle();
+    let reqs = requests(&bundle);
+    let serial: Vec<RankResponse> = reqs.iter().map(|r| serial_answer(&bundle, r)).collect();
+    let miss = reqs.len() - 1;
+    for backend in backends() {
+        let server = Server::start(bundle.clone(), ServeConfig::default());
+        let handle = server.handle();
+        for req in &reqs[..miss] {
+            handle.rank(req.clone()).expect("warm the cache");
+        }
+        let tcp = TcpServer::start_opts(
+            server.handle(),
+            "127.0.0.1:0",
+            Arc::new(NoFaults),
+            TcpOptions {
+                backend: Some(backend),
+                ..TcpOptions::default()
+            },
+        )
+        .expect("bind");
+        let mut stream = raw_connection(tcp.local_addr());
+
+        // Two rounds of the hits, with the miss between them.
+        let order: Vec<usize> = (0..miss).chain([miss]).chain(0..miss).collect();
+        let mut burst = Vec::new();
+        for (i, &r) in order.iter().enumerate() {
+            burst.extend(proto::encode_binary_request(100 + i as u64, &reqs[r], None));
+        }
+        stream.write_all(&burst).expect("write burst");
+        stream.shutdown(Shutdown::Write).expect("half-close");
+
+        let expected: Vec<&RankResponse> = order.iter().map(|&r| &serial[r]).collect();
+        let mut reader = BufReader::new(stream);
+        read_answers(&mut reader, 100, &expected);
+        assert!(
+            proto::read_frame(&mut reader)
+                .expect("clean close")
+                .is_none(),
+            "{backend:?}: the server must close cleanly after the last answer"
+        );
+        tcp.stop();
+        server.shutdown();
+    }
+}
+
+/// A client writes a burst whose answers outgrow the kernel's socket
+/// buffers before it reads anything, against a server with small
+/// `high_water`/`low_water` marks: the shard pauses reading that
+/// connection (`serve.tcp.paused` counts it), resumes as the client
+/// drains, and every answer arrives bit-identical on a connection that
+/// keeps serving afterwards. The counter is process-wide, but the other
+/// tests here keep the default 1 MiB high-water mark and never buffer that
+/// much unsent.
+#[test]
+fn backpressured_burst_gets_every_answer_and_keeps_the_connection() {
+    let bundle = fixture_bundle();
+    let n_facts = bundle.db.fact_count() as u32;
+    // A long lineage (facts repeat; each entry is scored) makes each answer
+    // ~1.7 KB from a ~0.9 KB request, so the burst's ~7 MB of answers
+    // outgrow what loopback socket buffers hold (~4 MB with Linux
+    // autotuning) and the shard must pause.
+    let wide = RankRequest {
+        lineage: (0..200).map(|j| FactId(j % n_facts)).collect(),
+        ..requests(&bundle)[0].clone()
+    };
+    let oracle = serial_answer(&bundle, &wide);
+    let server = Server::start(bundle.clone(), ServeConfig::default());
+    server.handle().rank(wide.clone()).expect("warm the cache");
+    let n = 4000;
+    let paused = ls_obs::counter("serve.tcp.paused");
+    for backend in backends() {
+        let pauses_before = paused.get();
+        let tcp = TcpServer::start_opts(
+            server.handle(),
+            "127.0.0.1:0",
+            Arc::new(NoFaults),
+            TcpOptions {
+                shards: 1,
+                backend: Some(backend),
+                high_water: 16 << 10,
+                low_water: 4 << 10,
+            },
+        )
+        .expect("bind");
+        let mut stream = raw_connection(tcp.local_addr());
+        let burst: Vec<u8> = (0..n)
+            .flat_map(|i| proto::encode_binary_request(i, &wide, None))
+            .collect();
+        // A thread of its own: once the shard pauses, the burst's tail
+        // waits in the socket until the client reads.
+        let mut writer = stream.try_clone().expect("clone");
+        let write = std::thread::spawn(move || writer.write_all(&burst).expect("write burst"));
+        // Read nothing until the shard has had the passes to take the whole
+        // burst: each answer on a second connection to the one shard is a
+        // further pass, and every pass reads the burst's connection unless
+        // it is paused.
+        let mut ping = TcpRankClient::connect(tcp.local_addr()).expect("ping connection");
+        for _ in 0..200 {
+            assert_bit_identical(&ping.rank(&wide).expect("ping"), &oracle);
+        }
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        read_answers(&mut reader, 0, &vec![&oracle; n as usize]);
+        write.join().expect("writer");
+        assert!(
+            paused.get() > pauses_before,
+            "{backend:?}: the burst's backlog must pause reading its connection"
+        );
+
+        // The connection survived the pause and still serves.
+        stream
+            .write_all(&proto::encode_binary_request(n, &wide, None))
+            .expect("write after the burst");
+        read_answers(&mut reader, n, &[&oracle]);
+        tcp.stop();
+    }
     server.shutdown();
 }
